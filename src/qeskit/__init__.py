@@ -9,6 +9,10 @@ The package is layered:
     probe      commutator tables, relation checks, polynomial fits
     quadext    spaces P_n + f P_m with f^2 rational, matrix calculus
     dsl / cli  expression language and the qes command-line tool
+
+Every finite space (V1Space, QuadSpace, PairModule) gives matrix(op), the
+exact action matrix on its basis or None when an image leaves the space;
+span coordinates, commutator tables and spectra are built on it once.
 """
 
 from .scalars import (
@@ -66,7 +70,6 @@ from .quadext import (
     MatOp,
     PairModule,
     QuadSpace,
-    algebraic_spectrum,
     check_invariance_quad,
     closure_check,
     lame_module_basis,

@@ -13,7 +13,8 @@ Subcommands mirror the engine facilities:
 Every run emits one report (text or JSON, --format / QES_FORMAT), with all
 numbers as exact rational strings; the JSON layout is pinned by
 report_schema.json.  Exit codes: 0 = verdict true / success, 1 = verdict
-false (with witnesses), 2 = usage or expression errors.
+false (with witnesses), 2 = usage or expression errors and any other
+failure.
 """
 
 from __future__ import annotations
@@ -414,6 +415,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         rep["status"] = False
         rep["error"] = str(exc)
+        code = 2
+    except Exception as exc:
+        rep["status"] = False
+        rep["error"] = f"unexpected {type(exc).__name__}: {exc}"
         code = 2
     rep["timing_ms"] = (time.monotonic_ns() - start) // 1_000_000
     rep["exit_code"] = code

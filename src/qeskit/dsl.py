@@ -149,9 +149,6 @@ class _Parser:
             raise DslSyntaxError(f"expected {value!r}, found {val!r}", pos)
         return self.next()
 
-    def fail(self, msg):
-        raise DslSyntaxError(msg, self.peek()[2])
-
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self) -> Node:
@@ -474,8 +471,6 @@ class _Evaluator:
     def power(self, u, k):
         if isinstance(k, int):
             if k >= 0:
-                if self.is_op(u):
-                    return u ** k
                 return u ** k
             if self.is_op(u):
                 return self.invert(u) ** (-k)

@@ -137,17 +137,3 @@ def char_poly(A: Sequence[Sequence], zero, one) -> tuple:
         coeffs[n - k] = ck
         N = [[M[i][j] + (ck if i == j else zero) for j in range(n)] for i in range(n)]
     return tuple(coeffs)
-
-
-def mat_commutator(A, B, zero):
-    AB = mat_mul(A, B, zero)
-    BA = mat_mul(B, A, zero)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(AB, BA)]
-
-
-def mat_is_zero(A) -> bool:
-    return all(not v for row in A for v in row)
-
-
-def flatten(A) -> list:
-    return [v for row in A for v in row]

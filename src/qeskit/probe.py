@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .operators import DiffOp, QuasiDiffOp, QuasiPoly, act, commutator
+from .operators import DiffOp, QuasiDiffOp, QuasiPoly
 from .scalars import PS_ONE, PS_ZERO, ParamScalar, QuasiExponent
 from .spaces import V1Space
 
@@ -257,20 +257,6 @@ class ClosureReport:
         }
 
 
-def _action_vector(op: QuasiDiffOp, basis: Sequence[QuasiExponent],
-                   coords: dict) -> Optional[list[ParamScalar]]:
-    """Flattened action matrix over the listed output exponents; None if an
-    output exponent escapes the coordinate system."""
-    vec = [PS_ZERO] * (len(basis) * len(coords))
-    for col, e in enumerate(basis):
-        out = op.act(QuasiPoly.monomial(e))
-        for f, c in out.terms:
-            if f not in coords:
-                return None
-            vec[coords[f] * len(basis) + col] = c
-    return vec
-
-
 def commutator_table(
     ops: Sequence, s: V1Space, names: Optional[Sequence[str]] = None
 ) -> ClosureReport:
@@ -278,35 +264,20 @@ def commutator_table(
     span(generators + identity) via action on the basis."""
     qops = [QuasiDiffOp.coerce(op) for op in ops]
     names = tuple(names) if names else tuple(f"g{i}" for i in range(len(qops)))
-    basis = s.basis()
-    coords = {e: i for i, e in enumerate(basis)}
-    ident = QuasiDiffOp.coerce(DiffOp.identity())
-    span_ops = qops + [ident]
-    span_vecs = [_action_vector(op, basis, coords) for op in span_ops]
-    if any(v is None for v in span_vecs):
+    table = s.commutator_coords(qops)
+    if table is None:
         raise ValueError("a generator does not preserve the space")
+    span_ops = qops + [QuasiDiffOp.coerce(DiffOp.identity())]
 
     entries = []
-    closes = True
-    for i in range(len(qops)):
-        for j in range(len(qops)):
-            if i == j:
-                continue
-            C = commutator(qops[i], qops[j])
-            vec = _action_vector(C, basis, coords)
-            sol = (
-                linalg.in_span(span_vecs, vec, PS_ZERO, PS_ONE)
-                if vec is not None
-                else None
-            )
-            if sol is None:
-                closes = False
-                entries.append(TableEntry(i, j, False, None, None,
-                                          f"[{names[i]},{names[j]}] leaves the span"))
-                continue
-            combo = QuasiDiffOp.zero()
-            for c, op in zip(sol, span_ops):
-                if c:
-                    combo = combo + op.scale(c)
-            entries.append(TableEntry(i, j, True, tuple(sol), C == combo, None))
-    return ClosureReport(names, tuple(entries), closes)
+    for (i, j), (C, sol) in table.items():
+        if sol is None:
+            entries.append(TableEntry(i, j, False, None, None,
+                                      f"[{names[i]},{names[j]}] leaves the span"))
+            continue
+        combo = QuasiDiffOp.zero()
+        for c, op in zip(sol, span_ops):
+            if c:
+                combo = combo + op.scale(c)
+        entries.append(TableEntry(i, j, True, tuple(sol), C == combo, None))
+    return ClosureReport(names, tuple(entries), all(e.in_span for e in entries))

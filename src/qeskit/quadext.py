@@ -28,25 +28,21 @@ from . import linalg, sturm
 from .operators import DiffOp, act_rat, compose
 from .scalars import (
     ExactError,
-    PARAM,
     PS_ONE,
     PS_ZERO,
     ParamScalar,
     RF_ONE,
     RatFunc,
+    common_denominator,
+    param_or_const,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_trim,
     rat,
 )
+from .spaces import FiniteSpace
 
 ParamValue = Union[None, int, Fraction]  # None = the formal symbol
-
-
-def _pval(v: ParamValue) -> ParamScalar:
-    return PARAM if v is None else ParamScalar.const(v)
-
 
 # ---------------------------------------------------------------------------
 # Exact square detection (degenerate extensions are rejected)
@@ -116,7 +112,7 @@ def ratfunc_sqrt(r: RatFunc) -> Optional[RatFunc]:
 # ---------------------------------------------------------------------------
 
 
-class QuadSpace:
+class QuadSpace(FiniteSpace):
     """P_n + f P_m with f^2 = r; rejects r = 0 and perfect squares (a
     rational f would collapse the extension)."""
 
@@ -156,6 +152,19 @@ class QuadSpace:
         out += [f"f*{xs(j)}" if j else "f" for j in range(self.m + 1)]
         return out
 
+    def matrix(self, M: MatOp) -> Optional[list[list[ParamScalar]]]:
+        """The coordinates of an image are the coefficients of its two
+        components, padded to degrees n and m."""
+        cols = []
+        for v in self.basis_pairs():
+            col = []
+            for val, bound in zip(act(M, v), (self.n, self.m)):
+                if not val.is_polynomial() or len(val.num) > bound + 1:
+                    return None
+                col.extend(val.num + (PS_ZERO,) * (bound + 1 - len(val.num)))
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
+
     def __str__(self):
         return (f"Quad(r = {self.r.str(self.param_name)}, n = {self.n}, "
                 f"m = {self.m})")
@@ -167,14 +176,14 @@ def sqrt_quadratic_preset(n: int, lam: ParamValue = None) -> QuadSpace:
     """f^2 = (1-x)(1-lam*x), companion degree n-1."""
     if n < 1:
         raise ValueError("preset needs n >= 1")
-    lam_s = _pval(lam)
+    lam_s = param_or_const(lam)
     r = (RF_ONE - RatFunc.x()) * (RF_ONE - RatFunc.x() * lam_s)
     return QuadSpace(r, n, n - 1, preset="sqrt_p2", param_name="lam")
 
 
 def ratio_sqrt_preset(n: int, lam: ParamValue = None) -> QuadSpace:
     """f^2 = (1-x)/(1-lam*x), companion degree n."""
-    lam_s = _pval(lam)
+    lam_s = param_or_const(lam)
     r = (RF_ONE - RatFunc.x()) / (RF_ONE - RatFunc.x() * lam_s)
     return QuadSpace(r, n, n, preset="ratio_sqrt", param_name="lam")
 
@@ -192,7 +201,7 @@ def lame_preset(n: int, k2: ParamValue = None) -> QuadSpace:
         k2 = rat(k2)
         if not 0 < k2 < 1:
             raise ValueError("modulus k2 must satisfy 0 < k2 < 1")
-    k2_s = _pval(k2)
+    k2_s = param_or_const(k2)
     x2 = RatFunc.x() * RatFunc.x()
     r = (RF_ONE - x2) * (RF_ONE - x2 * k2_s)
     return QuadSpace(r, n, n - 1, preset="lame", param_name="k2")
@@ -357,23 +366,6 @@ def act(M: MatOp, v: tuple[RatFunc, RatFunc]) -> tuple[RatFunc, RatFunc]:
     )
 
 
-def pairs_to_vectors(pairs: Sequence[tuple[RatFunc, RatFunc]]) -> list[list[ParamScalar]]:
-    """Exact common-denominator coordinates for (p, q) pairs, suitable for
-    span arithmetic over the parameter field."""
-    vecs: list[list[ParamScalar]] = [[] for _ in pairs]
-    for comp in (0, 1):
-        vals = [pr[comp] for pr in pairs]
-        lcd = (PS_ONE,)
-        for v in vals:
-            g = poly_gcd(lcd, v.den)
-            lcd = poly_mul(poly_divmod(lcd, g)[0], v.den)
-        nums = [poly_mul(v.num, poly_divmod(lcd, v.den)[0]) for v in vals]
-        width = max((len(p) for p in nums), default=0)
-        for vec, p in zip(vecs, nums):
-            vec.extend(tuple(p) + (PS_ZERO,) * (width - len(p)))
-    return vecs
-
-
 @dataclass(frozen=True)
 class QuadWitness:
     basis_label: str
@@ -462,27 +454,15 @@ def _membership_rows(vals: Sequence[RatFunc], max_deg: int):
     """Linear conditions on c for sum c_i vals_i to be a polynomial of
     degree <= max_deg: remainder coefficients over the common denominator
     vanish, and quotient coefficients above max_deg vanish."""
-    lcd = (PS_ONE,)
-    for v in vals:
-        g = poly_gcd(lcd, v.den)
-        lcd = poly_mul(poly_divmod(lcd, g)[0], v.den)
-    quots, rems = [], []
-    for v in vals:
-        num = poly_mul(v.num, poly_divmod(lcd, v.den)[0])
-        qt, rm = poly_divmod(num, lcd)
-        quots.append(qt)
-        rems.append(rm)
+    lcd, nums = common_denominator(vals)
+    quots, rems = zip(*(poly_divmod(num, lcd) for num in nums))
     rows = []
-    rwidth = max((len(r) for r in rems), default=0)
-    for k in range(rwidth):
-        row = [r[k] if k < len(r) else PS_ZERO for r in rems]
-        if any(row):
-            rows.append(row)
-    qwidth = max((len(q) for q in quots), default=0)
-    for k in range(max_deg + 1, qwidth):
-        row = [q[k] if k < len(q) else PS_ZERO for q in quots]
-        if any(row):
-            rows.append(row)
+    for parts, low in ((rems, 0), (quots, max_deg + 1)):
+        width = max(len(p) for p in parts)
+        for k in range(low, width):
+            row = [p[k] if k < len(p) else PS_ZERO for p in parts]
+            if any(row):
+                rows.append(row)
     return rows
 
 
@@ -500,21 +480,6 @@ def _first_order_cells(s: QuadSpace, degrees: tuple[int, int, int, int]):
     for i in range(dd + 1):
         cells.append(("delta", i, LF * MatOp.scalar(RatFunc.x_power(i)) * LD))
     return cells
-
-
-def _action_vector_quad(M: MatOp, s: QuadSpace):
-    """Flattened exact action matrix on the basis, or None if it escapes."""
-    vec = []
-    for v in s.basis_pairs():
-        u, w = act(M, v)
-        for val, bound in ((u, s.n), (w, s.m)):
-            if not val.is_polynomial():
-                return None
-            cs = val.num
-            if len(cs) > bound + 1:
-                return None
-            vec.extend(list(cs) + [PS_ZERO] * (bound + 1 - len(cs)))
-    return vec
 
 
 def s_generators(
@@ -569,15 +534,6 @@ def s_generators(
     return SGenResult(tuple(family), tuple(checks), tuple(discrepancies))
 
 
-def _family_span_contains(M: MatOp, family: Sequence[MatOp], s: QuadSpace) -> bool:
-    vecs = [_action_vector_quad(g, s) for g in family]
-    vecs.append(_action_vector_quad(MatOp.identity(), s))
-    target = _action_vector_quad(M, s)
-    if target is None or any(v is None for v in vecs):
-        return False
-    return linalg.in_span(vecs, target, PS_ZERO, PS_ONE) is not None
-
-
 def _cross_reference(s: QuadSpace, family: Sequence[MatOp]):
     """Compare the catalogue's printed first-order forms with the family."""
     if s.preset not in ("sqrt_p2", "ratio_sqrt"):
@@ -612,7 +568,7 @@ def _cross_reference(s: QuadSpace, family: Sequence[MatOp]):
     checks, discrepancies = [], []
     for label, formula, M in printed + corrected:
         rep = check_invariance_quad(M, s)
-        in_span = rep.verdict and _family_span_contains(M, family, s)
+        in_span = rep.verdict and s.span_coords(M, family) is not None
         note = "verifies" if rep.verdict else (
             rep.witnesses[0].reason + " on " + rep.witnesses[0].basis_label)
         checks.append(ReferenceCheck(label, formula, rep.verdict, in_span, note))
@@ -687,29 +643,16 @@ def closure_check(gens: Sequence[MatOp], s: QuadSpace,
     classification (signature only when the space parameter is rational).
     """
     names = tuple(names) if names else tuple(f"S{i+1}" for i in range(len(gens)))
-    vecs = []
-    for g in gens:
-        v = _action_vector_quad(g, s)
-        if v is None:
-            raise ValueError("generator does not preserve the space")
-        vecs.append(v)
-    id_vec = _action_vector_quad(MatOp.identity(), s)
-    span_vecs = vecs + [id_vec]
-
+    span_table = s.commutator_coords(gens)
+    if span_table is None:
+        raise ValueError("generator does not preserve the space")
     k = len(gens)
     table: dict = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            C = mat_commutator(gens[i], gens[j])
-            tv = _action_vector_quad(C, s)
-            coords = (linalg.in_span(span_vecs, tv, PS_ZERO, PS_ONE)
-                      if tv is not None else None)
-            if coords is None:
-                raise ClosureError(
-                    f"does not close linearly: [{names[i]},{names[j]}]")
-            table[(i, j)] = tuple(coords)
+    for (i, j), (_, coords) in span_table.items():
+        if coords is None:
+            raise ClosureError(
+                f"does not close linearly: [{names[i]},{names[j]}]")
+        table[(i, j)] = tuple(coords)
 
     # absorb central parts: find shifts t with [T_i,T_j] central-free for
     # T_i = S_i + t_i (possible whenever the linear system below solves)
@@ -814,7 +757,7 @@ def lame_pullback(n: int, k2: ParamValue = None) -> tuple[MatOp, QuadSpace]:
     is preserved, and check_invariance_quad for the exact witnesses).
     """
     s = lame_preset(n, k2)
-    k2_s = _pval(k2)
+    k2_s = param_or_const(k2)
     LF, LD = lift_f(s), lift_d(s)
     dz = LF * LD
     half_inv_x = RatFunc.const(Fraction(1, 2)) / RatFunc.x()
@@ -827,7 +770,7 @@ def lame_pullback(n: int, k2: ParamValue = None) -> tuple[MatOp, QuadSpace]:
 
 
 @dataclass(frozen=True)
-class PairModule:
+class PairModule(FiniteSpace):
     """A finite space of pairs (p, q), meaning p + f q, with p and q
     allowed negative powers of x; the carrier of exact matrix/spectrum
     computations for operators that preserve it."""
@@ -837,6 +780,24 @@ class PairModule:
 
     def dim(self) -> int:
         return len(self.basis)
+
+    def matrix(self, M: MatOp) -> Optional[list[list[ParamScalar]]]:
+        """Coordinates come from solving each image, written over common
+        denominators componentwise, in the span of the basis."""
+        pairs = list(self.basis) + [act(M, v) for v in self.basis]
+        vecs: list[list[ParamScalar]] = [[] for _ in pairs]
+        for comp in (0, 1):
+            _, nums = common_denominator([pr[comp] for pr in pairs])
+            for vec, p in zip(vecs, nums):
+                vec.extend(p)
+        basis, images = vecs[:self.dim()], vecs[self.dim():]
+        cols = []
+        for image in images:
+            sol = linalg.in_span(basis, image, PS_ZERO, PS_ONE)
+            if sol is None:
+                return None
+            cols.append(sol)
+        return [list(row) for row in zip(*cols)]
 
 
 def lame_module_basis(n: int) -> PairModule:
@@ -867,44 +828,18 @@ def lame_module_basis(n: int) -> PairModule:
     return PairModule(tuple(pairs), tuple(labels))
 
 
-def module_invariance(M: MatOp, module: PairModule):
+def module_invariance(M: MatOp, module: FiniteSpace):
     """Exact matrix of M on the module, or None when some image escapes."""
-    images = [act(M, v) for v in module.basis]
-    vecs = pairs_to_vectors(list(module.basis) + images)
-    bvecs = vecs[: module.dim()]
-    cols = []
-    for iv in vecs[module.dim():]:
-        sol = linalg.in_span(bvecs, iv, PS_ZERO, PS_ONE)
-        if sol is None:
-            return None
-        cols.append(sol)
-    return [[cols[j][i] for j in range(module.dim())] for i in range(module.dim())]
+    return module.matrix(M)
 
 
-def module_spectrum(M: MatOp, module: PairModule) -> tuple[ParamScalar, ...]:
-    """Monic characteristic polynomial of M on the module (low degree
-    first); raises if the module is not preserved."""
+def module_spectrum(M: MatOp, module: FiniteSpace) -> tuple[ParamScalar, ...]:
+    """Monic characteristic polynomial of M on the basis of the module (a
+    PairModule or a QuadSpace), low degree first, exact in the space
+    parameter; raises if the module is not preserved."""
     A = module_invariance(M, module)
     if A is None:
         raise ValueError("operator does not preserve the module")
-    return linalg.char_poly(A, PS_ZERO, PS_ONE)
-
-
-def algebraic_spectrum(M: MatOp, s: QuadSpace) -> tuple[ParamScalar, ...]:
-    """Monic characteristic polynomial (low degree first) of M on s's
-    basis, exact in the space parameter.  M must preserve s."""
-    rep = check_invariance_quad(M, s)
-    if not rep.verdict:
-        raise ValueError(f"operator does not preserve the space: "
-                         f"{rep.witnesses[0].to_json()}")
-    dim = s.dim()
-    cols = []
-    for v in s.basis_pairs():
-        u, w = act(M, v)
-        cu = list(u.num) + [PS_ZERO] * (s.n + 1 - len(u.num))
-        cw = list(w.num) + [PS_ZERO] * (s.m + 1 - len(w.num))
-        cols.append(cu + cw)
-    A = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     return linalg.char_poly(A, PS_ZERO, PS_ONE)
 
 

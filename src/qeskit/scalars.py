@@ -94,11 +94,6 @@ def rat(v) -> Fraction:
     raise TypeError(f"cannot build exact rational from {v!r}")
 
 
-def rat_str(q: Fraction) -> str:
-    """Canonical text form 'p/q' (or 'p' for integers)."""
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate polynomial helpers, generic over an exact field.
 #
@@ -148,12 +143,6 @@ def poly_mul(p, q):
             out[i + j] = t if out[i + j] is None else out[i + j] + t
     zero = p[0] - p[0]
     return poly_trim([zero if c is None else c for c in out])
-
-
-def poly_scale(p, c):
-    if not c:
-        return ()
-    return poly_trim([x * c for x in p])
 
 
 def poly_divmod(p, q):
@@ -210,14 +199,6 @@ def poly_eval(p, v, zero):
     for c in reversed(p):
         acc = acc * v + c
     return acc
-
-
-def poly_shift(p, k: int):
-    """Multiply by x^k (k >= 0)."""
-    if not p:
-        return ()
-    zero = p[0] - p[0]
-    return (zero,) * k + tuple(p)
 
 
 def _format_terms(terms: list[tuple[str, bool]]) -> str:
@@ -322,9 +303,6 @@ class ParamScalar:
 
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
-
-    def degree_pair(self) -> tuple[Degree, Degree]:
-        return poly_deg(self.num), poly_deg(self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -438,6 +416,11 @@ PS_ONE = ParamScalar.const(1)
 PARAM = ParamScalar.sym()
 
 
+def param_or_const(v) -> ParamScalar:
+    """The formal parameter for None, else the rational constant v."""
+    return PARAM if v is None else ParamScalar.const(v)
+
+
 def _ps_poly_str(p: Sequence[ParamScalar], var: str, name: str) -> str:
     """Print a ParamScalar-coefficient polynomial in `var`, high degree first.
 
@@ -546,11 +529,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.is_polynomial() and len(self.num) <= 1
-
-    def as_scalar(self) -> ParamScalar:
-        if not self.is_constant():
-            raise ExactError(f"{self} is not constant in x")
-        return self.num[0] if self.num else PS_ZERO
 
     def is_laurent(self) -> bool:
         """True iff the denominator is a pure power of x."""
@@ -687,6 +665,18 @@ def _rf(v):
 RF_ZERO = RatFunc()
 RF_ONE = RatFunc.const(1)
 RF_X = RatFunc.x()
+
+
+def common_denominator(vals: Sequence[RatFunc]):
+    """(lcd, numerators): each value of vals written as numerator / lcd,
+    the numerators padded with zeros to one length, so linear relations
+    among the values are linear relations among the padded coefficients."""
+    lcd = (PS_ONE,)
+    for v in vals:
+        lcd = poly_mul(poly_divmod(lcd, poly_gcd(lcd, v.den))[0], v.den)
+    nums = [poly_mul(v.num, poly_divmod(lcd, v.den)[0]) for v in vals]
+    width = max((len(p) for p in nums), default=0)
+    return lcd, [p + (PS_ZERO,) * (width - len(p)) for p in nums]
 
 
 @dataclass(frozen=True, order=True)

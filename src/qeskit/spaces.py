@@ -24,18 +24,19 @@ from .operators import (
     DiffOp,
     QuasiDiffOp,
     QuasiPoly,
-    act,
+    commutator,
     compose,
     conjugate_by_power,
 )
 from .scalars import (
     ExactError,
-    PARAM,
     PS_ONE,
     PS_ZERO,
     ParamScalar,
     QuasiExponent,
     RatFunc,
+    common_denominator,
+    param_or_const,
     qexp,
     rat,
 )
@@ -43,11 +44,57 @@ from .scalars import (
 AValue = Union[None, int, Fraction]  # None means the generic symbol
 
 
-def _a_scalar(a: AValue) -> ParamScalar:
-    return PARAM if a is None else ParamScalar.const(a)
+class FiniteSpace:
+    """A finite space with a fixed basis.  Each kind of space gives dim()
+    and matrix(op): the exact matrix of op on the basis (rows indexed by
+    output coordinate, columns by basis vector), or None when an image
+    leaves the space.  Span questions about operators are answered here,
+    once, by comparing those matrices as maps on the space."""
+
+    __slots__ = ()
+
+    def _span(self, ops):
+        """Flattened matrices of ops and of the identity, or None."""
+        mats = [self.matrix(op) for op in ops]
+        if any(A is None for A in mats):
+            return None
+        mats.append(linalg.identity(self.dim(), PS_ZERO, PS_ONE))
+        return [[v for row in A for v in row] for A in mats]
+
+    def _coords(self, span, op):
+        A = self.matrix(op)
+        if A is None:
+            return None
+        return linalg.in_span(span, [v for row in A for v in row], PS_ZERO, PS_ONE)
+
+    def span_coords(self, op, ops):
+        """Coordinates of op in span(ops + identity) as maps on the space,
+        or None (also when op or one of ops leaves the space)."""
+        span = self._span(ops)
+        return None if span is None else self._coords(span, op)
+
+    def commutator_coords(self, ops) -> Optional[dict]:
+        """{(i, j): (C, coords)} for every ordered pair i != j, where
+        C = [ops[i], ops[j]] and coords are its coordinates in
+        span(ops + identity) as maps on the space, None when C leaves that
+        span.  None when one of ops does not preserve the space."""
+        span = self._span(ops)
+        if span is None:
+            return None
+        table = {}
+        for i, A in enumerate(ops):
+            for j, B in enumerate(ops):
+                if i != j:
+                    C = commutator(A, B)
+                    table[(i, j)] = (C, self._coords(span, C))
+        return table
 
 
-class V1Space:
+def _in_range(q: Fraction, top: int) -> bool:
+    return q.denominator == 1 and 0 <= q <= top
+
+
+class V1Space(FiniteSpace):
     """The direct-sum space P_n + x^a P_m (P_m part absent when m is None).
 
     For rational a the two exponent ladders may collide; the merged basis
@@ -102,9 +149,6 @@ class V1Space:
         a = self.a
         return a.denominator == 1 and -self.m <= a <= self.n
 
-    def a_scalar(self) -> ParamScalar:
-        return _a_scalar(self.a)
-
     # -- basis and membership ---------------------------------------------------
 
     def basis(self) -> list[QuasiExponent]:
@@ -123,29 +167,33 @@ class V1Space:
                 out.append(qexp(off))
         return out
 
-    def contains_exponent(self, e: QuasiExponent) -> bool:
-        if self.a is None:
-            if e.a_part == 0:
-                return e.offset.denominator == 1 and 0 <= e.offset <= self.n
-            if self.m is not None and e.a_part == 1:
-                return e.offset.denominator == 1 and 0 <= e.offset <= self.m
-            return False
-        if e.a_part != 0:
-            return False
-        off = e.offset
-        if off.denominator == 1 and 0 <= off <= self.n:
-            return True
+    def dim(self) -> int:
+        return len(self.basis())
+
+    def in_ladder(self, e: QuasiExponent, part: str) -> bool:
+        """e lies on the "poly" ladder 0..n or the "quasi" ladder a..a+m."""
+        if part == "poly":
+            return e.a_part == 0 and _in_range(e.offset, self.n)
         if self.m is None:
             return False
-        j = off - self.a
-        return j.denominator == 1 and 0 <= j <= self.m
+        if self.a is None:
+            return e.a_part == 1 and _in_range(e.offset, self.m)
+        return e.a_part == 0 and _in_range(e.offset - self.a, self.m)
 
-    def basis_vectors(self) -> list[QuasiPoly]:
-        return [QuasiPoly.monomial(e) for e in self.basis()]
+    def contains_exponent(self, e: QuasiExponent) -> bool:
+        return self.in_ladder(e, "poly") or self.in_ladder(e, "quasi")
 
-    def exponents_param(self) -> list[ParamScalar]:
-        """Basis exponents as parameter-field elements (for set algebra)."""
-        return [e.to_param() for e in self.basis()]
+    def matrix(self, op) -> Optional[list[list[ParamScalar]]]:
+        op = QuasiDiffOp.coerce(op)
+        basis = self.basis()
+        index = {e: i for i, e in enumerate(basis)}
+        A = [[PS_ZERO] * len(basis) for _ in basis]
+        for col, e in enumerate(basis):
+            for f, c in op.act(QuasiPoly.monomial(e)).terms:
+                if f not in index:
+                    return None
+                A[index[f]][col] = c
+        return A
 
     def __str__(self):
         a = "a" if self.a is None else str(self.a)
@@ -174,7 +222,7 @@ def make_sl2(n: int, a: AValue = None) -> dict[str, DiffOp]:
 
 def make_k(n: int, a: AValue = None) -> dict[str, DiffOp]:
     """The sl2 triple conjugated by x^a (acts on the x^a ladder)."""
-    a_s = _a_scalar(a)
+    a_s = param_or_const(a)
     js = make_sl2(n)
     return {
         "kp": conjugate_by_power(js["jp"], a_s),
@@ -186,7 +234,7 @@ def make_k(n: int, a: AValue = None) -> dict[str, DiffOp]:
 def make_bosonic(n: int, m: int, a: AValue = None) -> dict[str, DiffOp]:
     """The second-order triple preserving both ladders at once."""
     Dv = DiffOp.euler()
-    a_s = _a_scalar(a)
+    a_s = param_or_const(a)
     Jp = compose(DiffOp.mult(RatFunc.x()), compose(Dv - n, Dv - (m + a_s)))
     J0 = Dv - ParamScalar.const(Fraction(m + n + 1, 2))
     Jm = compose(Dv + (1 - a_s), DiffOp.d())
@@ -196,7 +244,7 @@ def make_bosonic(n: int, m: int, a: AValue = None) -> dict[str, DiffOp]:
 def make_kernels(n: int, m: int, a: AValue = None) -> dict[str, DiffOp]:
     """K kills the polynomial ladder; Kprime kills the x^a ladder."""
     Dv = DiffOp.euler()
-    a_s = _a_scalar(a)
+    a_s = param_or_const(a)
     K = DiffOp.identity()
     for i in range(n + 1):
         K = compose(K, Dv - (n - i))
@@ -231,24 +279,8 @@ def _qbar_factor(s: V1Space, alpha: int) -> DiffOp:
 
 def _maps_into(op: QuasiDiffOp, s: V1Space, part: str) -> bool:
     """Check op sends every basis vector into the named ladder (or to 0)."""
-    for e in s.basis():
-        for f, _ in op.act(QuasiPoly.monomial(e)).terms:
-            if s.a is None:
-                if part == "poly":
-                    ok = f.a_part == 0 and f.offset.denominator == 1 and 0 <= f.offset <= s.n
-                else:
-                    ok = f.a_part == 1 and f.offset.denominator == 1 and 0 <= f.offset <= s.m
-            else:
-                if f.a_part != 0:
-                    return False
-                if part == "poly":
-                    ok = f.offset.denominator == 1 and 0 <= f.offset <= s.n
-                else:
-                    j = f.offset - s.a
-                    ok = j.denominator == 1 and 0 <= j <= s.m
-            if not ok:
-                return False
-    return True
+    return all(s.in_ladder(f, part) for e in s.basis()
+               for f, _ in op.act(QuasiPoly.monomial(e)).terms)
 
 
 def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
@@ -262,7 +294,7 @@ def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
     s = V1Space(n, m, a)
     if not 0 <= alpha <= s.delta:
         raise ValueError(f"alpha must lie in 0..{s.delta}")
-    a_s = _a_scalar(a)
+    a_s = param_or_const(a)
     ker = make_kernels(n, m, a)
     if a is None:
         down, up = qexp(0, -1), qexp(0, 1)
@@ -438,21 +470,13 @@ def operator_in_span(op: DiffOp, basis_ops: Sequence[DiffOp]):
     Per derivative order, all coefficients go over one common denominator
     so matching powers of x gives parameter-field rows.
     """
-    from .scalars import poly_divmod, poly_gcd, poly_mul
-
     everyone = list(basis_ops) + [op]
     orders = sorted({j for B in everyone for j, _ in B.terms})
     vec_rows: list[list[ParamScalar]] = [[] for _ in everyone]
     for j in orders:
-        coeffs = [B.coeff(j) for B in everyone]
-        common = (PS_ONE,)
-        for c in coeffs:
-            g = poly_gcd(common, c.den)
-            common = poly_mul(poly_divmod(common, g)[0], c.den)
-        nums = [poly_mul(c.num, poly_divmod(common, c.den)[0]) for c in coeffs]
-        width = max((len(p) for p in nums), default=0)
+        _, nums = common_denominator([B.coeff(j) for B in everyone])
         for row, p in zip(vec_rows, nums):
-            row.extend(tuple(p) + (PS_ZERO,) * (width - len(p)))
+            row.extend(p)
     return linalg.in_span(vec_rows[:-1], vec_rows[-1], PS_ZERO, PS_ONE)
 
 

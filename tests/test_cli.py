@@ -209,3 +209,29 @@ def test_text_format_renders(capsys):
     assert code == 0
     assert "status: True" in out
     assert "invariant: True" in out
+
+
+def test_closure_error_strings_for_non_preserving_generator(capsys):
+    code, rep = run_json(capsys, "closure", "--space", "V1(2)",
+                         "--gens", "jp(2),x^3")
+    assert code == 2
+    assert rep["error"] == "a generator does not preserve the space"
+    _validate(rep)
+    code, rep = run_json(capsys, "closure", "--space", "SqrtP2(2, 1/2)",
+                         "--gens", "x,d")
+    assert code == 2
+    assert rep["error"] == "generator does not preserve the space"
+    _validate(rep)
+
+
+def test_unexpected_failure_is_a_usage_error(capsys):
+    # deep nesting exhausts the recursive parser: still exit 2, a valid
+    # report with the error set, and no traceback
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code = main(["--format", "json", "check", "--space", "V1(2)", "--op", deep])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 2 and rep["exit_code"] == 2
+    assert rep["status"] is False and rep["error"]
+    assert "Traceback" not in captured.err
+    _validate(rep)

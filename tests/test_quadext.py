@@ -15,6 +15,7 @@ from qeskit.quadext import (
     ClosureError,
     FamilyNotFound,
     MatOp,
+    PairModule,
     QuadSpace,
     act,
     apply_word_direct,
@@ -260,13 +261,22 @@ def test_lame_eigenfunctions_against_elliptic_oracle():
             assert abs(lhs - E * psi(z0)) < mpmath.mpf(10) ** (-20)
 
 
-def test_algebraic_spectrum_on_preset():
-    from qeskit.quadext import algebraic_spectrum
-
+def test_module_spectrum_on_preset_space():
     s = sqrt_quadratic_preset(2, F(1, 2))
     fam = s_generators(s).family
-    cp = algebraic_spectrum(fam[0], s)
+    cp = module_spectrum(fam[0], s)
     assert len(cp) - 1 == s.dim() == 5
     assert cp[-1] == PS_ONE
     with pytest.raises(ValueError):
-        algebraic_spectrum(lift_d(s), s)
+        module_spectrum(lift_d(s), s)
+
+
+def test_quad_space_matrix_equals_pair_module_matrix():
+    s = sqrt_quadratic_preset(2, F(1, 2))
+    module = PairModule(tuple(s.basis_pairs()), tuple(s.basis_labels()))
+    for M in s_generators(s).family:
+        A = s.matrix(M)
+        assert A is not None
+        assert A == module.matrix(M)
+    assert s.matrix(lift_d(s)) is None
+    assert module.matrix(lift_d(s)) is None

@@ -255,3 +255,41 @@ def test_exponent_set_equivalences():
         lhs = v1_exponents(s_deg, m, 1 / A)
         rhs = ladder_pattern_exponents(A, s_deg, m)
         assert exponent_set_equiv(lhs, A, rhs)
+
+
+def _catalogue(s: V1Space) -> list:
+    """Every catalogue generator for s, plus a few plain monomials."""
+    n, m, a = s.n, s.m, s.a
+    ops = [DiffOp.d(), DiffOp.x_power(1), compose(DiffOp.x_power(2), DiffOp.d())]
+    for family in (make_sl2(n), make_k(n, a), make_bosonic(n, m, a),
+                   make_kernels(n, m, a)):
+        ops.extend(family.values())
+    for alpha in range(s.delta + 1):
+        mix = make_mixing(n, m, a, alpha)
+        ops.extend((mix.Q, mix.Qbar))
+    if a is not None and a.denominator == 1 and a >= 1 and n <= a <= m - n:
+        ops.extend(make_jumps(n, m, int(a)).values())
+    return ops
+
+
+def test_matrix_is_none_exactly_when_not_invariant():
+    # generic a, a non-colliding rational a, and two colliding integer a
+    for s in (V1Space(2, 3), V1Space(2, 3, F(1, 2)), V1Space(1, 3, 1),
+              V1Space(3, 2, 1)):
+        verdicts = set()
+        basis = s.basis()
+        for op in _catalogue(s):
+            verdict = check_invariance(op, s).verdict
+            A = s.matrix(op)
+            assert (A is None) == (not verdict), (s, op)
+            verdicts.add(verdict)
+            if A is None:
+                continue
+            # column j holds the coordinates of the image of basis[j]
+            q = QuasiDiffOp.coerce(op)
+            for j, e in enumerate(basis):
+                image = QuasiPoly()
+                for i, f in enumerate(basis):
+                    image = image + QuasiPoly.monomial(f, A[i][j])
+                assert image == q.act(QuasiPoly.monomial(e))
+        assert verdicts == {True, False}, s
