@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive):
     expr     := ['-'] term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := atom ['^' exponent]
-    exponent := ['-'] uint | '(' expr ')'
+    exponent := ['-'] uint | '(' expr ')'     (uint <= MAX_EXPONENT)
     atom     := rational | ident ['(' args ')'] | '(' expr ')'
               | 'comm' '(' expr ',' expr ')'
     args     := expr (',' expr)*
@@ -42,6 +42,12 @@ from .spaces import (
     make_mixing,
     make_sl2,
 )
+
+
+# Largest integer exponent the grammar accepts.  The cost of a power grows
+# fast with it: on a 2-core VM with Python 3.11, (x+d)^32 takes about 1 s
+# and (x+d)^64 about 30 s.
+MAX_EXPONENT = 32
 
 
 class DslSyntaxError(ExactError):
@@ -210,7 +216,11 @@ class _Parser:
         if kind != "num":
             raise DslSyntaxError("expected integer or '(' after '^'", pos)
         self.next()
-        return -int(val) if neg else int(val)
+        k = int(val)
+        if k > MAX_EXPONENT:
+            raise DslSyntaxError(
+                f"exponent {k} exceeds the cap of {MAX_EXPONENT}", pos)
+        return -k if neg else k
 
     def parse_atom(self) -> Node:
         kind, val, pos = self.peek()

@@ -40,6 +40,7 @@ from .scalars import (
     RatFunc,
     poly_deriv,
     poly_trim,
+    pow_by_squaring,
     rat,
 )
 
@@ -222,10 +223,7 @@ class DiffOp:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = DiffOp.identity()
-        for _ in range(k):
-            out = compose(out, self)
-        return out
+        return pow_by_squaring(self, k, DiffOp.identity())
 
     # -- printing ------------------------------------------------------------
 
@@ -583,10 +581,7 @@ class QuasiDiffOp:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = QuasiDiffOp.coerce(DiffOp.identity())
-        for _ in range(k):
-            out = out * self
-        return out
+        return pow_by_squaring(self, k, QuasiDiffOp.coerce(DiffOp.identity()))
 
     def as_monomial_mult(self):
         """Return (E, c) if this is multiplication by c*x^E, else None."""

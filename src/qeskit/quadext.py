@@ -38,6 +38,7 @@ from .scalars import (
     poly_divmod,
     poly_mul,
     poly_trim,
+    pow_by_squaring,
     rat,
 )
 from .spaces import FiniteSpace
@@ -287,10 +288,7 @@ class MatOp:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = MatOp.identity()
-        for _ in range(k):
-            out = out * self
-        return out
+        return pow_by_squaring(self, k, MatOp.identity())
 
     def __bool__(self):
         return bool(self.a11) or bool(self.a12) or bool(self.a21) or bool(self.a22)

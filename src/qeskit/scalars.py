@@ -187,6 +187,51 @@ def poly_gcd(p, q):
     return poly_monic(p)
 
 
+def _reduce(num, den, one):
+    """Canonical (num, den) for trimmed polynomials over a field with unit
+    `one`: den monic, gcd(num, den) = 1, zero as ()/(one).
+
+    The gcd is known in advance for a constant denominator (it is 1) and for
+    a monomial one c*t^k (it is t^min(k, v), v the t-valuation of num), so
+    only other denominators run Euclid.
+    """
+    if not den:
+        raise DivisionByZero("division by zero")
+    if not num:
+        return (), (one,)
+    if len(den) > 1:
+        if any(den[:-1]):
+            g = poly_gcd(num, den)
+            if len(g) > 1:
+                num = poly_divmod(num, g)[0]
+                den = poly_divmod(den, g)[0]
+        else:
+            v = 0
+            while not num[v]:
+                v += 1
+            s = min(v, len(den) - 1)
+            num, den = num[s:], den[s:]
+    lead = den[-1]
+    if lead == one:
+        return num, den
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+def pow_by_squaring(x, k: int, one):
+    """x**k for an integer k >= 0 by square-and-multiply; `one` for k = 0.
+
+    Only powers of x are multiplied, so the product need not commute.
+    """
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
+
+
 def poly_deriv(p):
     return poly_trim([c * i for i, c in enumerate(p)][1:])
 
@@ -238,6 +283,8 @@ def _nterms(p: Sequence) -> int:
 
 _PSVal = Union[int, Fraction, "ParamScalar"]
 
+_Q_ONE = Fraction(1)
+
 
 class ParamScalar:
     """A rational function p(a)/q(a) of the formal parameter, in canonical
@@ -250,23 +297,10 @@ class ParamScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(Fraction(1),)):
-        num = poly_trim([rat(c) for c in num])
-        den = poly_trim([rat(c) for c in den])
-        if not den:
-            raise DivisionByZero("division by zero")
-        if not num:
-            den = (Fraction(1),)
-        else:
-            g = poly_gcd(num, den)
-            if poly_deg(g) > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+        num, den = _reduce(poly_trim([rat(c) for c in num]),
+                           poly_trim([rat(c) for c in den]), _Q_ONE)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("ParamScalar is immutable")
@@ -310,6 +344,8 @@ class ParamScalar:
         o = _ps(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den == o.den:
+            return ParamScalar(poly_add(self.num, o.num), self.den)
         return ParamScalar(
             poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
             poly_mul(self.den, o.den),
@@ -318,7 +354,10 @@ class ParamScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar(poly_neg(self.num), self.den)
+        out = object.__new__(ParamScalar)  # negation keeps the canonical form
+        object.__setattr__(out, "num", poly_neg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = _ps(other)
@@ -358,11 +397,8 @@ class ParamScalar:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return ParamScalar.const(1) / self ** (-k)
-        out = ParamScalar.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+            return PS_ONE / self ** (-k)
+        return pow_by_squaring(self, k, PS_ONE)
 
     def __eq__(self, other):
         o = _ps(other)
@@ -466,23 +502,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(PS_ONE,)):
-        num = poly_trim([ParamScalar.coerce(c) for c in num])
-        den = poly_trim([ParamScalar.coerce(c) for c in den])
-        if not den:
-            raise DivisionByZero("division by zero")
-        if not num:
-            den = (PS_ONE,)
-        else:
-            g = poly_gcd(num, den)
-            if poly_deg(g) > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lead = den[-1]
-            if lead != PS_ONE:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+        num, den = _reduce(poly_trim([ParamScalar.coerce(c) for c in num]),
+                           poly_trim([ParamScalar.coerce(c) for c in den]), PS_ONE)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -550,6 +573,8 @@ class RatFunc:
         o = _rf(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.den == o.den:
+            return RatFunc(poly_add(self.num, o.num), self.den)
         return RatFunc(
             poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
             poly_mul(self.den, o.den),
@@ -558,7 +583,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(poly_neg(self.num), self.den)
+        out = object.__new__(RatFunc)  # negation keeps the canonical form
+        object.__setattr__(out, "num", poly_neg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = _rf(other)
@@ -598,11 +626,8 @@ class RatFunc:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return RatFunc.const(1) / self ** (-k)
-        out = RatFunc.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+            return RF_ONE / self ** (-k)
+        return pow_by_squaring(self, k, RF_ONE)
 
     def __eq__(self, other):
         o = _rf(other)

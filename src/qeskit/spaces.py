@@ -265,7 +265,7 @@ class MixingOps:
     Q: QuasiDiffOp
     Qbar: QuasiDiffOp
     alpha: int
-    orientation: str  # "n>=m", "n<=m", or "either (n=m)"
+    orientation: str  # "n>=m", "n<=m", "either (n=m)" or "either (colliding a)"
 
 
 def _qbar_factor(s: V1Space, alpha: int) -> DiffOp:
@@ -323,10 +323,10 @@ def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
         raise MappingContractError(
             "mapping contract violated in both orientations"
         )
-    if len(passing) == 2:
-        name, Q, Qbar = passing[0]
-        return MixingOps(Q, Qbar, alpha, "either (n=m)")
     name, Q, Qbar = passing[0]
+    if len(passing) == 2:
+        # for n != m both pass only when a rational a makes the ladders overlap
+        name = "either (n=m)" if n == m else "either (colliding a)"
     return MixingOps(Q, Qbar, alpha, name)
 
 

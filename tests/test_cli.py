@@ -2,11 +2,13 @@
 
 import json
 import re
+import time
 from importlib import resources
 
 import pytest
 
 from qeskit.cli import main
+from qeskit.dsl import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -235,3 +237,18 @@ def test_unexpected_failure_is_a_usage_error(capsys):
     assert rep["status"] is False and rep["error"]
     assert "Traceback" not in captured.err
     _validate(rep)
+
+
+def test_exponent_cap_is_a_usage_error(capsys):
+    start = time.monotonic()
+    code, rep = run_json(capsys, "check", "--space", "V1(2)", "--op", "x^100000")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and rep["exit_code"] == 2
+    assert f"cap of {MAX_EXPONENT}" in rep["error"]
+    _validate(rep)
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", f"d^-{MAX_EXPONENT + 1}")
+    assert code == 2 and f"cap of {MAX_EXPONENT}" in rep["error"]
+    code, _ = run_json(capsys, "check", "--space", "V1(2)",
+                       "--op", f"x^{MAX_EXPONENT}")
+    assert code == 1

@@ -19,6 +19,7 @@ from qeskit.scalars import (
     arith,
     normalize,
     poly_deg,
+    poly_gcd,
     qexp,
     rat,
     specialize,
@@ -174,3 +175,120 @@ def test_specialize_commutes_with_arith(u, v, a0):
 def test_ratfunc_deriv_leibniz(u):
     v = u * u
     assert v.deriv() == u.deriv() * u + u * u.deriv()
+
+
+# -- independent oracle for the normaliser's shortcuts -------------------------
+#
+# Denominators are drawn from the four classes the normaliser treats
+# differently: 1, c*t^k, and anything else; numerators get a random
+# t-valuation so monomial denominators cancel partly or fully.
+
+nonzero = fractions.filter(bool)
+
+
+def _poly(draw, max_len):
+    valuation = draw(st.integers(0, 2))
+    tail = [draw(fractions) for _ in range(draw(st.integers(0, max_len)))]
+    return (F(0),) * valuation + tuple(tail)
+
+
+def _den(draw, coeff, one, zero):
+    kind = draw(st.sampled_from(["one", "const", "monomial", "general"]))
+    if kind == "one":
+        return (one,)
+    if kind == "const":
+        return (coeff(),)
+    if kind == "monomial":
+        return (zero,) * draw(st.integers(1, 3)) + (coeff(),)
+    return (coeff(), coeff()) + tuple(coeff() for _ in range(draw(st.integers(0, 1))))
+
+
+@st.composite
+def ps_parts(draw):
+    return _poly(draw, 3), _den(draw, lambda: draw(nonzero), F(1), F(0))
+
+
+@st.composite
+def rf_parts(draw):
+    def coeff():
+        return ParamScalar(*draw(ps_parts())) or PS_ONE
+
+    num = tuple(ParamScalar(*draw(ps_parts())) for _ in range(draw(st.integers(0, 2))))
+    num = (PS_ZERO,) * draw(st.integers(0, 2)) + num
+    return num, _den(draw, coeff, PS_ONE, PS_ZERO)
+
+
+def _assert_canonical(v, one):
+    assert v.den[-1] == one
+    if not v.num:
+        assert v.den == (one,)
+    else:
+        assert poly_deg(poly_gcd(v.num, v.den)) == 0
+
+
+# each op is applied both to the engine's values and to sympy expressions;
+# `s` shares u's canonical denominator, so u + s and u - s take the
+# equal-denominator path
+_OPS = {
+    "u": lambda u, v, s: u,
+    "v": lambda u, v, s: v,
+    "-u": lambda u, v, s: -u,
+    "u+u": lambda u, v, s: u + u,
+    "u-u": lambda u, v, s: u - u,
+    "u+s": lambda u, v, s: u + s,
+    "u-s": lambda u, v, s: u - s,
+    "u+v": lambda u, v, s: u + v,
+    "u-v": lambda u, v, s: u - v,
+    "u*v": lambda u, v, s: u * v,
+    "-(u*v)": lambda u, v, s: -(u * v),
+    "u/v": lambda u, v, s: u / v,
+}
+
+
+def _check_against_sympy(cls, pu, pv, to_sympy, one):
+    sympy = pytest.importorskip("sympy")
+    u, v = cls(*pu), cls(*pv)
+    s = cls(v.num, u.den)
+    exprs = [to_sympy(*p) for p in (pu, pv, (v.num, u.den))]
+    for name, op in _OPS.items():
+        if name == "u/v" and not v:
+            continue
+        w = op(u, v, s)
+        _assert_canonical(w, one)
+        if cls is RatFunc:
+            for c in w.num + w.den:
+                _assert_canonical(c, F(1))
+        assert sympy.cancel(to_sympy(w.num, w.den) - op(*exprs)) == 0, name
+
+
+def _sympy_ratio(num, den, var, coeff):
+    sympy = pytest.importorskip("sympy")
+
+    def poly(cs):
+        return sum((coeff(c) * var**i for i, c in enumerate(cs)), sympy.Integer(0))
+
+    return poly(num) / poly(den)
+
+
+def _sympy_param(num, den):
+    sympy = pytest.importorskip("sympy")
+    return _sympy_ratio(num, den, sympy.Symbol("a"),
+                        lambda q: sympy.Rational(q.numerator, q.denominator))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ps_parts(), ps_parts())
+def test_param_scalar_normaliser_against_sympy(pu, pv):
+    _check_against_sympy(ParamScalar, pu, pv, _sympy_param, F(1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rf_parts(), rf_parts())
+def test_ratfunc_normaliser_against_sympy(pu, pv):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(num, den):
+        return _sympy_ratio(num, den, sympy.Symbol("x"),
+                            lambda c: _sympy_param(c.num, c.den))
+
+    _check_against_sympy(RatFunc, pu, pv, to_sympy, PS_ONE)

@@ -93,6 +93,9 @@ def test_mixing_contract_and_orientation():
     assert out == QuasiPoly.monomial(qexp(1), A * (A - 1))
     assert make_mixing(1, 2, None, 1).orientation == "n<=m"
     assert make_mixing(2, 2, None, 0).orientation == "either (n=m)"
+    assert make_mixing(2, 2, 1, 0).orientation == "either (n=m)"
+    for alpha in (0, 1):
+        assert make_mixing(3, 2, 1, alpha).orientation == "either (colliding a)"
 
 
 def test_mixing_kills_its_target_ladder():
