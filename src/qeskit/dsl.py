@@ -49,6 +49,14 @@ from .spaces import (
 # and (x+d)^64 about 30 s.
 MAX_EXPONENT = 32
 
+# Largest operator order and x-degree (the largest numerator or denominator
+# degree among the coefficients) of an operator that a product, a power or
+# a commutator may build.  The size of the result is predicted before it is
+# formed, orders adding and x-degrees adding, so a nested power such as
+# ((x+d)^8)^8, which is (x+d)^64, is refused at once.
+MAX_ORDER = 32
+MAX_DEGREE = 32
+
 
 class DslSyntaxError(ExactError):
     """Parse failure with the offending position."""
@@ -397,6 +405,33 @@ def _gen_table():
 _GENERATORS = _gen_table()
 
 
+def _order_degree(v) -> tuple[int, int]:
+    """Operator order and x-degree of a value; scalars have (0, 0)."""
+    if isinstance(v, MatOp):
+        ops = [L for row in v.rows() for L in row]
+    elif isinstance(v, QuasiDiffOp):
+        ops = [L for _, L in v.parts]
+    else:
+        return 0, 0
+    order = max((L.order() or 0 for L in ops), default=0)
+    degree = max((max(len(c.num), len(c.den)) - 1
+                  for L in ops for _, c in L.terms), default=0)
+    return order, degree
+
+
+def _check_product(factors) -> None:
+    """Refuse a product of factors whose predicted order or x-degree
+    exceeds its cap."""
+    sizes = [_order_degree(f) for f in factors]
+    order, degree = sum(o for o, _ in sizes), sum(d for _, d in sizes)
+    if order > MAX_ORDER:
+        raise DslEvalError(
+            f"operator order {order} exceeds the cap of {MAX_ORDER}")
+    if degree > MAX_DEGREE:
+        raise DslEvalError(
+            f"x-degree {degree} exceeds the cap of {MAX_DEGREE}")
+
+
 class _Evaluator:
     """Shared arithmetic over tagged values: ParamScalar scalars plus
     either QuasiDiffOp (ladder mode) or MatOp (quad mode) operators."""
@@ -453,6 +488,7 @@ class _Evaluator:
 
     def mul(self, u, v):
         if self.is_op(u) and self.is_op(v):
+            _check_product((u, v))
             return u * v
         if self.is_op(u):
             return u.scale(v) if not isinstance(v, MatOp) else u * v
@@ -480,10 +516,12 @@ class _Evaluator:
 
     def power(self, u, k):
         if isinstance(k, int):
+            if self.is_op(u):
+                base = u if k >= 0 else self.invert(u)
+                _check_product([base] * abs(k))
+                return base ** abs(k)
             if k >= 0:
                 return u ** k
-            if self.is_op(u):
-                return self.invert(u) ** (-k)
             if not u:
                 raise DslEvalError("division by zero")
             return u ** k
@@ -502,6 +540,7 @@ class _Evaluator:
 
     def commutator(self, u, v):
         u, v = self.to_op(u), self.to_op(v)
+        _check_product((u, v))
         if isinstance(u, MatOp):
             return mat_commutator(u, v)
         return commutator(u, v)

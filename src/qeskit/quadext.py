@@ -698,8 +698,8 @@ def closure_check(gens: Sequence[MatOp], s: QuadSpace,
     )
 
     signature = classification = None
-    if all(all(v.is_constant() for v in row) for row in killing):
-        K = [[v.as_fraction() for v in row] for row in killing]
+    K = _constant_matrix(killing)
+    if K is not None:
         cp = linalg.char_poly(K, Fraction(0), Fraction(1))
         signature = _symmetric_signature(cp)
         npos, nneg, zero_roots = signature
@@ -713,6 +713,14 @@ def closure_check(gens: Sequence[MatOp], s: QuadSpace,
         names, table, recentered, tuple(shifts) if shifts else None,
         structure, jacobi_ok, killing, signature, classification,
     )
+
+
+def _constant_matrix(A) -> Optional[list[list[Fraction]]]:
+    """A over Fraction when every entry is a constant, else None.  Exact
+    linear algebra on a Fraction matrix skips ParamScalar normalisation."""
+    if all(v.is_constant() for row in A for v in row):
+        return [[v.as_fraction() for v in row] for row in A]
+    return None
 
 
 def _symmetric_signature(cp) -> tuple[int, int, int]:
@@ -789,12 +797,9 @@ class PairModule(FiniteSpace):
             for vec, p in zip(vecs, nums):
                 vec.extend(p)
         basis, images = vecs[:self.dim()], vecs[self.dim():]
-        cols = []
-        for image in images:
-            sol = linalg.in_span(basis, image, PS_ZERO, PS_ONE)
-            if sol is None:
-                return None
-            cols.append(sol)
+        cols = linalg.in_span_many(basis, images, PS_ZERO, PS_ONE)
+        if any(col is None for col in cols):
+            return None
         return [list(row) for row in zip(*cols)]
 
 
@@ -838,7 +843,11 @@ def module_spectrum(M: MatOp, module: FiniteSpace) -> tuple[ParamScalar, ...]:
     A = module_invariance(M, module)
     if A is None:
         raise ValueError("operator does not preserve the module")
-    return linalg.char_poly(A, PS_ZERO, PS_ONE)
+    K = _constant_matrix(A)
+    if K is None:
+        return linalg.char_poly(A, PS_ZERO, PS_ONE)
+    return tuple(ParamScalar.const(c)
+                 for c in linalg.char_poly(K, Fraction(0), Fraction(1)))
 
 
 def spectrum_all_real_distinct(charpoly: Sequence[ParamScalar]) -> bool:

@@ -61,17 +61,19 @@ class FiniteSpace:
         mats.append(linalg.identity(self.dim(), PS_ZERO, PS_ONE))
         return [[v for row in A for v in row] for A in mats]
 
-    def _coords(self, span, op):
-        A = self.matrix(op)
-        if A is None:
-            return None
-        return linalg.in_span(span, [v for row in A for v in row], PS_ZERO, PS_ONE)
+    def _coords(self, span, ops):
+        """Coordinates of each of ops in span, None for an op that leaves
+        the space or the span; one elimination serves all of them."""
+        mats = [self.matrix(op) for op in ops]
+        targets = [[v for row in A for v in row] for A in mats if A is not None]
+        sols = iter(linalg.in_span_many(span, targets, PS_ZERO, PS_ONE))
+        return [None if A is None else next(sols) for A in mats]
 
     def span_coords(self, op, ops):
         """Coordinates of op in span(ops + identity) as maps on the space,
         or None (also when op or one of ops leaves the space)."""
         span = self._span(ops)
-        return None if span is None else self._coords(span, op)
+        return None if span is None else self._coords(span, [op])[0]
 
     def commutator_coords(self, ops) -> Optional[dict]:
         """{(i, j): (C, coords)} for every ordered pair i != j, where
@@ -81,13 +83,9 @@ class FiniteSpace:
         span = self._span(ops)
         if span is None:
             return None
-        table = {}
-        for i, A in enumerate(ops):
-            for j, B in enumerate(ops):
-                if i != j:
-                    C = commutator(A, B)
-                    table[(i, j)] = (C, self._coords(span, C))
-        return table
+        pairs = [(i, j) for i in range(len(ops)) for j in range(len(ops)) if i != j]
+        comms = [commutator(ops[i], ops[j]) for i, j in pairs]
+        return dict(zip(pairs, zip(comms, self._coords(span, comms))))
 
 
 def _in_range(q: Fraction, top: int) -> bool:

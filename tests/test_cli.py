@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from qeskit.cli import main
-from qeskit.dsl import MAX_EXPONENT
+from qeskit.dsl import MAX_DEGREE, MAX_EXPONENT, MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -252,3 +252,26 @@ def test_exponent_cap_is_a_usage_error(capsys):
     code, _ = run_json(capsys, "check", "--space", "V1(2)",
                        "--op", f"x^{MAX_EXPONENT}")
     assert code == 1
+
+
+def test_intermediate_size_cap_is_a_usage_error(capsys):
+    # ((x+d)^8)^8 is (x+d)^64: every exponent is under MAX_EXPONENT, but
+    # the predicted order of the outer power is over MAX_ORDER
+    start = time.monotonic()
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", "((x+d)^8)^8")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and rep["exit_code"] == 2
+    assert rep["error"] == f"operator order 64 exceeds the cap of {MAX_ORDER}"
+    _validate(rep)
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", "comm(x^20*d, x^20)")
+    assert code == 2
+    assert rep["error"] == f"x-degree 40 exceeds the cap of {MAX_DEGREE}"
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", "x^-16 * x^-17")
+    assert code == 2 and f"cap of {MAX_DEGREE}" in rep["error"]
+    # at the caps: order 32 and x-degree 32
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", "(x+d)^32")
+    assert code == 1 and rep["error"] is None

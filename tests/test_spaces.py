@@ -2,8 +2,10 @@
 
 from fractions import Fraction as F
 
+from qeskit import linalg
 from qeskit.operators import DiffOp, QuasiDiffOp, QuasiPoly, act, commutator, compose
-from qeskit.scalars import PARAM, ParamScalar, RatFunc, qexp
+from qeskit.quadext import s_generators, sqrt_quadratic_preset
+from qeskit.scalars import PARAM, PS_ONE, PS_ZERO, ParamScalar, RatFunc, qexp
 from qeskit.spaces import (
     V1Space,
     check_invariance,
@@ -296,3 +298,40 @@ def test_matrix_is_none_exactly_when_not_invariant():
                     image = image + QuasiPoly.monomial(f, A[i][j])
                 assert image == q.act(QuasiPoly.monomial(e))
         assert verdicts == {True, False}, s
+
+
+def _per_pair_table(s, ops):
+    """commutator_coords written out: one in_span solve per commutator."""
+    def flat(A):
+        return [v for row in A for v in row]
+
+    span = [flat(s.matrix(op)) for op in ops]
+    span.append(flat(linalg.identity(s.dim(), PS_ZERO, PS_ONE)))
+    table = {}
+    for i, A in enumerate(ops):
+        for j, B in enumerate(ops):
+            if i != j:
+                C = commutator(A, B)
+                M = s.matrix(C)
+                table[(i, j)] = (C, None if M is None else
+                                 linalg.in_span(span, flat(M), PS_ZERO, PS_ONE))
+    return table
+
+
+def test_commutator_coords_equals_per_pair_in_span():
+    cases = [
+        (V1Space(3), list(make_sl2(3).values())),
+        (V1Space(2, 3), list(make_bosonic(2, 3).values())),
+        (V1Space(2, 3, F(1, 2)), list(make_bosonic(2, 3, F(1, 2)).values())),
+        (V1Space(1, 3, 1), list(make_bosonic(1, 3, 1).values())),
+        # d^2 preserves P_3 but [Jp, d^2] leaves the span: None entries
+        (V1Space(3), list(make_sl2(3).values()) + [DiffOp.d(2)]),
+        (sqrt_quadratic_preset(1, F(1, 2)),
+         list(s_generators(sqrt_quadratic_preset(1, F(1, 2))).family)),
+    ]
+    saw_none = False
+    for s, ops in cases:
+        table = s.commutator_coords(ops)
+        assert table == _per_pair_table(s, ops), s
+        saw_none |= any(coords is None for _, coords in table.values())
+    assert saw_none
