@@ -44,7 +44,6 @@ from .quadext import (
     closure_check,
     lame_module_basis,
     lame_pullback,
-    mat_commutator,
     module_invariance,
     module_spectrum,
     s_generators,
@@ -141,7 +140,7 @@ def _cmd_comm(args, rep) -> int:
     space = parse_space_or_quad(args.space) if args.space else None
     if isinstance(space, QuadSpace):
         op1, op2 = eval_quad(args.op1, space), eval_quad(args.op2, space)
-        C = mat_commutator(op1, op2)
+        C = commutator(op1, op2)
         name = space.param_name
         rep["normal_forms"] = {
             "op1": op1.str(name), "op2": op2.str(name), "commutator": C.str(name)

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from .operators import DiffOp, QuasiDiffOp, commutator
 from .quadext import MatOp, QuadSpace, lame_preset, lift_d, lift_f, lift_x, \
-    mat_commutator, ratio_sqrt_preset, sqrt_quadratic_preset
+    ratio_sqrt_preset, sqrt_quadratic_preset
 from .scalars import ExactError, PARAM, ParamScalar, QuasiExponent, RatFunc, rat
 from .spaces import (
     V1Space,
@@ -53,7 +53,8 @@ MAX_EXPONENT = 32
 # degree among the coefficients) of an operator that a product, a power or
 # a commutator may build.  The size of the result is predicted before it is
 # formed, orders adding and x-degrees adding, so a nested power such as
-# ((x+d)^8)^8, which is (x+d)^64, is refused at once.
+# ((x+d)^8)^8, which is (x+d)^64, is refused at once.  MAX_ORDER also caps
+# each integer argument of a named generator (K(n) composes n + 1 factors).
 MAX_ORDER = 32
 MAX_DEGREE = 32
 
@@ -344,6 +345,9 @@ def _gen_table():
         f = v.as_fraction()
         if f.denominator != 1 or f < 0:
             raise DslEvalError(f"{what} must be a nonnegative integer, got {f}")
+        if f > MAX_ORDER:
+            raise DslEvalError(
+                f"generator argument {what} = {f} exceeds the cap of {MAX_ORDER}")
         return int(f)
 
     def a_value(v: ParamScalar):
@@ -510,8 +514,6 @@ class _Evaluator:
             if mono is not None and mono[1]:
                 E, c = mono
                 return QuasiDiffOp.power_shift(-E).scale(ParamScalar.const(1) / c)
-        if isinstance(v, MatOp):
-            pass  # only monomial DiffOp inverses are supported
         raise DslEvalError("can only divide by scalars or monomials")
 
     def power(self, u, k):
@@ -541,8 +543,6 @@ class _Evaluator:
     def commutator(self, u, v):
         u, v = self.to_op(u), self.to_op(v)
         _check_product((u, v))
-        if isinstance(u, MatOp):
-            return mat_commutator(u, v)
         return commutator(u, v)
 
     # -- tree walk ------------------------------------------------------------

@@ -282,7 +282,8 @@ def compose(A: DiffOp, B: DiffOp) -> DiffOp:
 
 
 def commutator(A, B):
-    """A∘B - B∘A (works for DiffOp and QuasiDiffOp alike)."""
+    """A∘B - B∘A for any operators with * and - (DiffOp, QuasiDiffOp and
+    quadext.MatOp alike)."""
     return A * B - B * A
 
 
@@ -320,7 +321,7 @@ def act_poly(A: DiffOp, p) -> RatFunc:
             der = poly_deriv(der)
         prev = j
         if der:
-            out = out + c * RatFunc.from_poly(der)
+            out = out + c * RatFunc(der)
     return out
 
 

@@ -305,10 +305,6 @@ class MatOp:
         return f"MatOp({self.str()})"
 
 
-def mat_commutator(A: MatOp, B: MatOp) -> MatOp:
-    return A * B - B * A
-
-
 def lift_x() -> MatOp:
     m = DiffOp.mult(RatFunc.x())
     return MatOp.diag(m, m)

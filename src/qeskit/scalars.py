@@ -7,10 +7,15 @@ Three layers, each built on the one below:
   ParamScalar  -- p(a)/q(a) with Fraction coefficients, `a` a formal symbol
   RatFunc      -- P(x)/Q(x) with ParamScalar coefficients
 
-All values are immutable and kept in a unique canonical form: denominators
-are monic and never zero, numerator and denominator share no factor, and
-the zero value is ()/(1).  Equality is structural, so two values are equal
-iff their canonical coefficient tuples agree.
+ParamScalar and RatFunc are one construction instantiated twice: the
+class `_Fraction` holds a canonical num/den over a coefficient field and
+writes the field arithmetic, equality, hashing and printing once; each
+subclass gives its coefficient coercion, its printed variable, its unit
+and the few methods only it has.  All values are immutable and kept in a
+unique canonical form: denominators are monic and never zero, numerator
+and denominator share no factor, and the zero value is ()/(1).  Equality
+is structural, so two values are equal iff their canonical coefficient
+tuples agree.
 
 Polynomials are dense coefficient tuples, low index = low degree.  The zero
 polynomial is the empty tuple; its degree is the NEG_INF sentinel, which
@@ -26,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from types import FunctionType
+from typing import Sequence, Union
 
 
 class ExactError(ValueError):
@@ -246,149 +252,148 @@ def poly_eval(p, v, zero):
     return acc
 
 
-def _format_terms(terms: list[tuple[str, bool]]) -> str:
-    """Join (text, negative) pairs with ' + ' / ' - '."""
-    if not terms:
-        return "0"
-    out = []
-    for i, (txt, neg) in enumerate(terms):
-        if i == 0:
-            out.append(f"-{txt}" if neg else txt)
-        else:
-            out.append(f" - {txt}" if neg else f" + {txt}")
-    return "".join(out)
+def _poly_str(p: Sequence, var: str, name: str = "a") -> str:
+    """Print a polynomial in `var`, highest degree first.
 
-
-def _frac_poly_str(p: Sequence[Fraction], var: str) -> str:
-    """Print a Fraction-coefficient polynomial, highest degree first."""
-    terms = []
+    Coefficients are Fractions or ParamScalars printed in `name`.  A
+    non-constant ParamScalar coefficient is parenthesized and keeps its own
+    sign, so canonical prints stay parseable by the expression grammar.
+    """
+    out = ""
     for i in range(len(p) - 1, -1, -1):
         c = p[i]
         if not c:
             continue
-        neg = c < 0
-        c = abs(c)
-        if i == 0:
-            txt = str(c)
+        xs = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+        if not isinstance(c, Fraction) and c.is_constant():
+            c = c.as_fraction()
+        if isinstance(c, Fraction):
+            neg, c = c < 0, abs(c)
+            txt = str(c) if not xs else xs if c == 1 else f"{c}*{xs}"
         else:
-            xs = var if i == 1 else f"{var}^{i}"
-            txt = xs if c == 1 else f"{c}*{xs}"
-        terms.append((txt, neg))
-    return _format_terms(terms)
+            neg, txt = False, f"({c.str(name)})" + (f"*{xs}" if xs else "")
+        if out:
+            out += " - " if neg else " + "
+        elif neg:
+            out = "-"
+        out += txt
+    return out or "0"
 
-
-def _nterms(p: Sequence) -> int:
-    return sum(1 for c in p if c)
-
-
-_PSVal = Union[int, Fraction, "ParamScalar"]
 
 _Q_ONE = Fraction(1)
 
 
-class ParamScalar:
-    """A rational function p(a)/q(a) of the formal parameter, in canonical
-    form: q monic, gcd(p, q) = 1, zero stored as ()/(1).
+class _Fraction:
+    """num/den over a coefficient field, in canonical form: num and den are
+    trimmed coefficient tuples, den monic, gcd(num, den) = 1, zero stored
+    as ()/(1).  Immutable; equality is structural.
 
-    Supports full field arithmetic, exact specialization of the parameter,
-    and structural equality/hashing.  Instances are immutable.
+    The field arithmetic is written here once.  A subclass gives its own
+    `__init__` (the coefficient coercion, then `_reduce`), `_coef` (one
+    coefficient's coercion), `_operand` (an operand of another type as a
+    value of the subclass, or NotImplemented), `_var` (the printed variable,
+    None for the parameter's own name) and `_one` (the field's unit, set
+    once the class exists).  Every result is built through the subclass's
+    `__init__`, so it is canonical; that `__init__` lives in the subclass
+    body because perfbench's tracer wraps it there to count constructions.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=(), den=(Fraction(1),)):
-        num, den = _reduce(poly_trim([rat(c) for c in num]),
-                           poly_trim([rat(c) for c in den]), _Q_ONE)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init_subclass__(cls, **kw):
+        # Each subclass runs its own copy of every method written here.
+        # CPython's inline caches live in the code object and each holds
+        # one type, so a code object shared by both subclasses would miss
+        # on every switch between them.
+        super().__init_subclass__(**kw)
+        for name, f in vars(_Fraction).items():
+            if isinstance(f, FunctionType) and name not in vars(cls):
+                setattr(cls, name, FunctionType(f.__code__.replace(), f.__globals__,
+                                                name, f.__defaults__))
 
     def __setattr__(self, *a):
-        raise AttributeError("ParamScalar is immutable")
-
-    # -- constructors -------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def const(cls, v) -> "ParamScalar":
-        return cls((rat(v),))
+    def const(cls, v):
+        return cls((cls._coef(v),))
 
     @classmethod
-    def sym(cls) -> "ParamScalar":
-        """The formal parameter itself."""
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def coerce(cls, v: _PSVal) -> "ParamScalar":
-        if isinstance(v, ParamScalar):
-            return v
-        return cls.const(v)
+    def coerce(cls, v):
+        return v if isinstance(v, cls) else cls.const(v)
 
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ExactError(f"{self} is not a constant")
-        return self.num[0] if self.num else Fraction(0)
-
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
 
+    def is_constant(self) -> bool:
+        return len(self.num) <= 1 and len(self.den) == 1
+
     # -- arithmetic ----------------------------------------------------------
+    #
+    # An operand of the same class is used as it is; only other operands go
+    # through `_operand`, so the common case makes no extra call.
 
     def __add__(self, other):
-        o = _ps(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.den == o.den:
-            return ParamScalar(poly_add(self.num, o.num), self.den)
-        return ParamScalar(
-            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-            poly_mul(self.den, o.den),
+        cls = type(self)
+        if type(other) is not cls:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.den == other.den:
+            return cls(poly_add(self.num, other.num), self.den)
+        return cls(
+            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
+            poly_mul(self.den, other.den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(ParamScalar)  # negation keeps the canonical form
+        out = object.__new__(type(self))  # negation keeps the canonical form
         object.__setattr__(out, "num", poly_neg(self.num))
         object.__setattr__(out, "den", self.den)
         return out
 
     def __sub__(self, other):
-        o = _ps(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not type(self):
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = _ps(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = _ps(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ParamScalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        cls = type(self)
+        if type(other) is not cls:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return cls(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _ps(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not o:
+        cls = type(self)
+        if type(other) is not cls:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other:
             raise DivisionByZero("division by zero")
-        return ParamScalar(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
+        return cls(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        o = _ps(other)
+        o = self._operand(other)
         if o is NotImplemented:
             return NotImplemented
         return o / self
@@ -397,27 +402,18 @@ class ParamScalar:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return PS_ONE / self ** (-k)
-        return pow_by_squaring(self, k, PS_ONE)
+            return self._one / self ** (-k)
+        return pow_by_squaring(self, k, self._one)
 
     def __eq__(self, other):
-        o = _ps(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if type(other) is not type(self):
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    # -- specialization ------------------------------------------------------
-
-    def specialize(self, a0) -> Fraction:
-        """Exact value at parameter = a0; singular if the denominator dies."""
-        a0 = rat(a0)
-        dv = poly_eval(self.den, a0, Fraction(0))
-        if dv == 0:
-            raise SingularSpecialization(_frac_poly_str(self.den, "a"))
-        return poly_eval(self.num, a0, Fraction(0)) / dv
 
     # -- printing ------------------------------------------------------------
 
@@ -425,30 +421,64 @@ class ParamScalar:
         return self.str()
 
     def str(self, name: str = "a") -> str:
-        ns = _frac_poly_str(self.num, name)
+        var = self._var or name
+        ns = _poly_str(self.num, var, name)
         if len(self.den) == 1:
             return ns
-        ds = _frac_poly_str(self.den, name)
-        if _nterms(self.num) > 1:
+        ds = _poly_str(self.den, var, name)
+        if sum(map(bool, self.num)) > 1:
             ns = f"({ns})"
-        if _nterms(self.den) > 1:
+        if sum(map(bool, self.den)) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
     def __repr__(self):
-        return f"ParamScalar({self.str()})"
+        return f"{type(self).__name__}({self.str()})"
 
 
-def _ps(v):
-    if isinstance(v, ParamScalar):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ParamScalar.const(v)
-    return NotImplemented
+class ParamScalar(_Fraction):
+    """A rational function p(a)/q(a) of the formal parameter with Fraction
+    coefficients; adds exact specialization of the parameter."""
+
+    __slots__ = ()
+    _coef = staticmethod(rat)
+    _var = None
+
+    def __init__(self, num=(), den=(_Q_ONE,)):
+        num, den = _reduce(poly_trim([rat(c) for c in num]),
+                           poly_trim([rat(c) for c in den]), _Q_ONE)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _operand(v):
+        if isinstance(v, ParamScalar):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return ParamScalar.const(v)
+        return NotImplemented
+
+    @classmethod
+    def sym(cls) -> "ParamScalar":
+        """The formal parameter itself."""
+        return cls((Fraction(0), Fraction(1)))
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_constant():
+            raise ExactError(f"{self} is not a constant")
+        return self.num[0] if self.num else Fraction(0)
+
+    def specialize(self, a0) -> Fraction:
+        """Exact value at parameter = a0; singular if the denominator dies."""
+        a0 = rat(a0)
+        dv = poly_eval(self.den, a0, Fraction(0))
+        if dv == 0:
+            raise SingularSpecialization(_poly_str(self.den, "a"))
+        return poly_eval(self.num, a0, Fraction(0)) / dv
 
 
 PS_ZERO = ParamScalar()
-PS_ONE = ParamScalar.const(1)
+PS_ONE = ParamScalar._one = ParamScalar.const(1)
 PARAM = ParamScalar.sym()
 
 
@@ -457,49 +487,13 @@ def param_or_const(v) -> ParamScalar:
     return PARAM if v is None else ParamScalar.const(v)
 
 
-def _ps_poly_str(p: Sequence[ParamScalar], var: str, name: str) -> str:
-    """Print a ParamScalar-coefficient polynomial in `var`, high degree first.
+class RatFunc(_Fraction):
+    """A rational function P(x)/Q(x) with ParamScalar coefficients; content
+    sits in the numerator.  Adds d/dx, Laurent parts and specialization."""
 
-    Non-constant coefficients are always parenthesized so canonical prints
-    stay parseable by the expression grammar.
-    """
-    terms = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if not c:
-            continue
-        if c.is_constant():
-            f = c.as_fraction()
-            neg = f < 0
-            f = abs(f)
-            if i == 0:
-                txt = str(f)
-            else:
-                xs = var if i == 1 else f"{var}^{i}"
-                txt = xs if f == 1 else f"{f}*{xs}"
-            terms.append((txt, neg))
-        else:
-            cs = f"({c.str(name)})"
-            if i == 0:
-                txt = cs
-            else:
-                xs = var if i == 1 else f"{var}^{i}"
-                txt = f"{cs}*{xs}"
-            terms.append((txt, False))
-    return _format_terms(terms)
-
-
-_RFVal = Union[int, Fraction, ParamScalar, "RatFunc"]
-
-
-class RatFunc:
-    """A rational function P(x)/Q(x) with ParamScalar coefficients.
-
-    Canonical form: Q monic in x, gcd(P, Q) = 1, zero stored as ()/(1).
-    Content sits in the numerator.  Immutable; equality is structural.
-    """
-
-    __slots__ = ("num", "den")
+    __slots__ = ()
+    _coef = staticmethod(ParamScalar.coerce)
+    _var = "x"
 
     def __init__(self, num=(), den=(PS_ONE,)):
         num, den = _reduce(poly_trim([ParamScalar.coerce(c) for c in num]),
@@ -507,14 +501,13 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def const(cls, v) -> "RatFunc":
-        return cls((ParamScalar.coerce(v),))
+    @staticmethod
+    def _operand(v):
+        if isinstance(v, RatFunc):
+            return v
+        if isinstance(v, (int, Fraction, ParamScalar)):
+            return RatFunc.const(v)
+        return NotImplemented
 
     @classmethod
     def x(cls) -> "RatFunc":
@@ -527,31 +520,10 @@ class RatFunc:
             return cls((PS_ZERO,) * k + (PS_ONE,))
         return cls((PS_ONE,), (PS_ZERO,) * (-k) + (PS_ONE,))
 
-    @classmethod
-    def from_poly(cls, coeffs: Iterable) -> "RatFunc":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def coerce(cls, v: _RFVal) -> "RatFunc":
-        if isinstance(v, RatFunc):
-            return v
-        return cls.const(v)
-
-    # -- predicates ----------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return len(self.den) == 1
-
     def as_poly(self) -> tuple[ParamScalar, ...]:
         if not self.is_polynomial():
             raise ExactError(f"{self} is not a polynomial in x")
         return self.num
-
-    def is_constant(self) -> bool:
-        return self.is_polynomial() and len(self.num) <= 1
 
     def is_laurent(self) -> bool:
         """True iff the denominator is a pure power of x."""
@@ -567,77 +539,6 @@ class RatFunc:
         """Degree of the numerator (use with is_polynomial for bounds)."""
         return poly_deg(self.num)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.den == o.den:
-            return RatFunc(poly_add(self.num, o.num), self.den)
-        return RatFunc(
-            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-            poly_mul(self.den, o.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(RatFunc)  # negation keeps the canonical form
-        object.__setattr__(out, "num", poly_neg(self.num))
-        object.__setattr__(out, "den", self.den)
-        return out
-
-    def __sub__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not o:
-            raise DivisionByZero("division by zero")
-        return RatFunc(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return RF_ONE / self ** (-k)
-        return pow_by_squaring(self, k, RF_ONE)
-
-    def __eq__(self, other):
-        o = _rf(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def deriv(self) -> "RatFunc":
         """Exact d/dx by the quotient rule."""
         n, d = self.num, self.den
@@ -648,47 +549,15 @@ class RatFunc:
             poly_mul(d, d),
         )
 
-    # -- specialization ------------------------------------------------------
-
     def specialize(self, a0) -> "RatFunc":
-        """Substitute the parameter; result has constant coefficients."""
-        num = tuple(ParamScalar.const(c.specialize(a0)) for c in self.num)
-        den = tuple(ParamScalar.const(c.specialize(a0)) for c in self.den)
-        den = poly_trim(den)
-        if not den:
-            raise SingularSpecialization(self.str())
-        return RatFunc(num, den)
-
-    # -- printing ------------------------------------------------------------
-
-    def __str__(self):
-        return self.str()
-
-    def str(self, name: str = "a") -> str:
-        ns = _ps_poly_str(self.num, "x", name)
-        if self.is_polynomial():
-            return ns
-        ds = _ps_poly_str(self.den, "x", name)
-        if _nterms(self.num) > 1:
-            ns = f"({ns})"
-        if _nterms(self.den) > 1:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
-
-    def __repr__(self):
-        return f"RatFunc({self.str()})"
-
-
-def _rf(v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, (int, Fraction, ParamScalar)):
-        return RatFunc.const(v)
-    return NotImplemented
+        """Substitute the parameter; result has constant coefficients.  The
+        denominator is monic, so only a coefficient can become singular."""
+        return RatFunc(tuple(ParamScalar.const(c.specialize(a0)) for c in self.num),
+                       tuple(ParamScalar.const(c.specialize(a0)) for c in self.den))
 
 
 RF_ZERO = RatFunc()
-RF_ONE = RatFunc.const(1)
+RF_ONE = RatFunc._one = RatFunc.const(1)
 RF_X = RatFunc.x()
 
 
@@ -710,10 +579,6 @@ class QuasiExponent:
 
     a_part: Fraction
     offset: Fraction
-
-    @classmethod
-    def make(cls, offset, a_part=0) -> "QuasiExponent":
-        return cls(rat(a_part), rat(offset))
 
     def shift(self, k) -> "QuasiExponent":
         return QuasiExponent(self.a_part, self.offset + rat(k))
@@ -745,7 +610,7 @@ class QuasiExponent:
         return self.str()
 
     def str(self, name: str = "a") -> str:
-        return _frac_poly_str((self.offset, self.a_part), name)
+        return _poly_str((self.offset, self.a_part), name)
 
 
 QE_ZERO = QuasiExponent(Fraction(0), Fraction(0))
@@ -753,7 +618,7 @@ QE_A = QuasiExponent(Fraction(1), Fraction(0))
 
 
 def qexp(offset, a_part=0) -> QuasiExponent:
-    return QuasiExponent.make(offset, a_part)
+    return QuasiExponent(rat(a_part), rat(offset))
 
 
 # ---------------------------------------------------------------------------

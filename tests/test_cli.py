@@ -275,3 +275,39 @@ def test_intermediate_size_cap_is_a_usage_error(capsys):
     code, rep = run_json(capsys, "check", "--space", "V1(2)",
                          "--op", "(x+d)^32")
     assert code == 1 and rep["error"] is None
+
+
+def test_quad_comm_normal_form(capsys):
+    # the comm subcommand and the DSL's comm() share one commutator on MatOp
+    code, rep = run_json(capsys, "comm", "--space", "SqrtP2(1, 1/2)",
+                         "--op1", "x", "--op2", "d")
+    assert code == 0 and rep["status"] is True
+    assert rep["normal_forms"] == {
+        "op1": "[[x, 0], [0, x]]",
+        "op2": "[[d, 0], [0, d + (x - 3/2)/(x^2 - 3*x + 2)]]",
+        "commutator": "[[-1, 0], [0, -1]]",
+    }
+    assert rep["verdicts"] == {"commutator_invariant": True}
+    _validate(rep)
+    code, rep = run_json(capsys, "check", "--space", "SqrtP2(1, 1/2)",
+                         "--op", "comm(x, d)")
+    assert code == 0 and rep["verdicts"] == {"invariant": True}
+    assert rep["normal_forms"] == {"op": "[[-1, 0], [0, -1]]"}
+    _validate(rep)
+
+
+def test_generator_argument_cap_is_a_usage_error(capsys):
+    # K(n) composes n + 1 factors and Q(n, m, a, alpha) mixes two ladders:
+    # integer arguments above MAX_ORDER are refused before anything is built
+    for op, what in (("K(200)", "n = 200"), ("Q(200,100,a,50)", "n = 200"),
+                     ("Q(2,2,a,33)", "alpha = 33")):
+        start = time.monotonic()
+        code, rep = run_json(capsys, "check", "--space", "V1(2)", "--op", op)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and rep["exit_code"] == 2
+        assert rep["error"] == (f"generator argument {what} exceeds the cap "
+                                f"of {MAX_ORDER}")
+        _validate(rep)
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", f"K({MAX_ORDER})")
+    assert code in (0, 1) and rep["error"] is None

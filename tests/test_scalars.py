@@ -292,3 +292,145 @@ def test_ratfunc_normaliser_against_sympy(pu, pv):
                             lambda c: _sympy_param(c.num, c.den))
 
     _check_against_sympy(RatFunc, pu, pv, to_sympy, PS_ONE)
+
+
+# -- printing and operand rules, pinned value by value -------------------------
+#
+# Each row: a value, then str(), str("lam") and repr() as canonical reports
+# print them.
+
+X = RF_X
+
+_PRINTS = [
+    ("ps_const_neg_frac", lambda: ParamScalar((F(-3, 2),)),
+     "-3/2", "-3/2", "ParamScalar(-3/2)"),
+    ("ps_zero", lambda: PS_ZERO, "0", "0", "ParamScalar(0)"),
+    ("ps_unit_powers", lambda: A**2 - 1,
+     "a^2 - 1", "lam^2 - 1", "ParamScalar(a^2 - 1)"),
+    ("ps_neg_unit_lead", lambda: -A**2 + A,
+     "-a^2 + a", "-lam^2 + lam", "ParamScalar(-a^2 + a)"),
+    ("ps_frac_coeffs", lambda: F(-1, 3) * A**3 + F(5, 2) * A - 7,
+     "-1/3*a^3 + 5/2*a - 7", "-1/3*lam^3 + 5/2*lam - 7",
+     "ParamScalar(-1/3*a^3 + 5/2*a - 7)"),
+    ("ps_one_term_den", lambda: 1 / A, "1/a", "1/lam", "ParamScalar(1/a)"),
+    ("ps_one_term_den_power", lambda: (A + 1) / A**2,
+     "(a + 1)/a^2", "(lam + 1)/lam^2", "ParamScalar((a + 1)/a^2)"),
+    ("ps_neg_over_monomial", lambda: -3 / (2 * A**3),
+     "-3/2/a^3", "-3/2/lam^3", "ParamScalar(-3/2/a^3)"),
+    ("ps_many_term_den", lambda: (2 * A + 1) / (A * A - 1),
+     "(2*a + 1)/(a^2 - 1)", "(2*lam + 1)/(lam^2 - 1)",
+     "ParamScalar((2*a + 1)/(a^2 - 1))"),
+    ("ps_neg_over_binomial", lambda: -1 / (A + 1),
+     "-1/(a + 1)", "-1/(lam + 1)", "ParamScalar(-1/(a + 1))"),
+    ("ps_frac_over_binomial", lambda: F(2, 3) / (3 * A + 1),
+     "2/9/(a + 1/3)", "2/9/(lam + 1/3)", "ParamScalar(2/9/(a + 1/3))"),
+    ("ps_neg_power", lambda: (A - 2) ** -2,
+     "1/(a^2 - 4*a + 4)", "1/(lam^2 - 4*lam + 4)",
+     "ParamScalar(1/(a^2 - 4*a + 4))"),
+    ("rf_one", lambda: RF_ONE, "1", "1", "RatFunc(1)"),
+    ("rf_zero", lambda: RatFunc(), "0", "0", "RatFunc(0)"),
+    ("rf_unit_powers", lambda: -X**2 + X, "-x^2 + x", "-x^2 + x", "RatFunc(-x^2 + x)"),
+    ("rf_frac_coeffs", lambda: F(-1, 2) * X**3 + F(7, 3),
+     "-1/2*x^3 + 7/3", "-1/2*x^3 + 7/3", "RatFunc(-1/2*x^3 + 7/3)"),
+    ("rf_param_coeffs", lambda: (A + 1) * X**2 - A * X + F(-1, 2),
+     "(a + 1)*x^2 + (-a)*x - 1/2", "(lam + 1)*x^2 + (-lam)*x - 1/2",
+     "RatFunc((a + 1)*x^2 + (-a)*x - 1/2)"),
+    ("rf_param_const", lambda: RatFunc.const(A - 1),
+     "(a - 1)", "(lam - 1)", "RatFunc((a - 1))"),
+    ("rf_param_den_coeff", lambda: RatFunc((PS_ZERO, 1 / (A - 1))),
+     "(1/(a - 1))*x", "(1/(lam - 1))*x", "RatFunc((1/(a - 1))*x)"),
+    ("rf_neg_param_coeff", lambda: -A * X, "(-a)*x", "(-lam)*x", "RatFunc((-a)*x)"),
+    ("rf_x_inverse", lambda: RatFunc.x_power(-1), "1/x", "1/x", "RatFunc(1/x)"),
+    ("rf_x_neg_power", lambda: RatFunc.x_power(-3), "1/x^3", "1/x^3", "RatFunc(1/x^3)"),
+    ("rf_laurent", lambda: (X + A) / X**3,
+     "(x + (a))/x^3", "(x + (lam))/x^3", "RatFunc((x + (a))/x^3)"),
+    ("rf_neg_laurent", lambda: (1 - A) / X,
+     "(-a + 1)/x", "(-lam + 1)/x", "RatFunc((-a + 1)/x)"),
+    ("rf_one_term_den", lambda: 2 / (A * X**2),
+     "(2/a)/x^2", "(2/lam)/x^2", "RatFunc((2/a)/x^2)"),
+    ("rf_many_term_den", lambda: 1 / (X**2 + A),
+     "1/(x^2 + (a))", "1/(x^2 + (lam))", "RatFunc(1/(x^2 + (a)))"),
+    ("rf_many_over_many", lambda: (X**2 - A) / (2 * X**2 + X - A),
+     "(1/2*x^2 + (-1/2*a))/(x^2 + 1/2*x + (-1/2*a))",
+     "(1/2*x^2 + (-1/2*lam))/(x^2 + 1/2*x + (-1/2*lam))",
+     "RatFunc((1/2*x^2 + (-1/2*a))/(x^2 + 1/2*x + (-1/2*a)))"),
+    ("rf_param_over_linear", lambda: (A * X) / (X - A),
+     "(a)*x/(x + (-a))", "(lam)*x/(x + (-lam))", "RatFunc((a)*x/(x + (-a)))"),
+    ("qe_zero", lambda: qexp(0), "0", "0",
+     "QuasiExponent(a_part=Fraction(0, 1), offset=Fraction(0, 1))"),
+    ("qe_neg_frac", lambda: qexp(F(-1, 2)), "-1/2", "-1/2",
+     "QuasiExponent(a_part=Fraction(0, 1), offset=Fraction(-1, 2))"),
+    ("qe_param", lambda: qexp(0, 1), "a", "lam",
+     "QuasiExponent(a_part=Fraction(1, 1), offset=Fraction(0, 1))"),
+    ("qe_neg_param", lambda: qexp(2, -1), "-a + 2", "-lam + 2",
+     "QuasiExponent(a_part=Fraction(-1, 1), offset=Fraction(2, 1))"),
+    ("qe_frac_both", lambda: qexp(F(1, 3), F(-5, 2)), "-5/2*a + 1/3", "-5/2*lam + 1/3",
+     "QuasiExponent(a_part=Fraction(-5, 2), offset=Fraction(1, 3))"),
+    ("qe_unit_offset", lambda: qexp(-1, 1), "a - 1", "lam - 1",
+     "QuasiExponent(a_part=Fraction(1, 1), offset=Fraction(-1, 1))"),
+]
+
+
+@pytest.mark.parametrize("build, plain, lam, rep", [row[1:] for row in _PRINTS],
+                         ids=[row[0] for row in _PRINTS])
+def test_print_table(build, plain, lam, rep):
+    v = build()
+    assert (str(v), v.str(), v.str("lam"), repr(v)) == (plain, plain, lam, rep)
+
+
+def test_singular_specialization_messages():
+    with pytest.raises(SingularSpecialization,
+                       match=r"^singular specialization: denominator a - 1 vanishes$"):
+        (1 / (A - 1)).specialize(1)
+    with pytest.raises(SingularSpecialization) as err:
+        ((A + 2) / (A * A - F(1, 4))).specialize(F(-1, 2))
+    assert str(err.value) == "singular specialization: denominator a^2 - 1/4 vanishes"
+    assert err.value.factor == "a^2 - 1/4"
+    # a RatFunc fails on the coefficient that becomes singular
+    r = RatFunc((PS_ONE,), (1 / (A - 2), PS_ONE))
+    with pytest.raises(SingularSpecialization,
+                       match=r"^singular specialization: denominator a - 2 vanishes$"):
+        r.specialize(2)
+
+
+@pytest.mark.parametrize("op, expect", [
+    (lambda: A + X, "x + (a)"),
+    (lambda: X + A, "x + (a)"),
+    (lambda: A - X, "-x + (a)"),
+    (lambda: X - A, "x + (-a)"),
+    (lambda: A * X, "(a)*x"),
+    (lambda: X * A, "(a)*x"),
+    (lambda: A / X, "(a)/x"),
+    (lambda: X / A, "(1/a)*x"),
+    (lambda: 2 + X, "x + 2"),
+    (lambda: F(1, 2) * X, "1/2*x"),
+    (lambda: 1 - X, "-x + 1"),
+    (lambda: 3 / X, "3/x"),
+], ids=["ps+rf", "rf+ps", "ps-rf", "rf-ps", "ps*rf", "rf*ps", "ps/rf", "rf/ps",
+        "int+rf", "frac*rf", "int-rf", "int/rf"])
+def test_mixed_operands_give_ratfunc(op, expect):
+    v = op()
+    assert type(v) is RatFunc
+    assert str(v) == expect
+
+
+def test_mixed_operand_equality_and_rejections():
+    assert RatFunc.const(A) == A and A == RatFunc.const(A)
+    assert PS_ONE == RF_ONE and RF_ONE == PS_ONE and RF_ONE == 1 and 1 == PS_ONE
+    assert A != RF_X and RF_X != A and A != 1 and F(1, 2) == PS_ONE / 2
+    assert hash(A + 1) == hash(1 + A) and hash(RF_X + 1) == hash(1 + RF_X)
+    assert (A == 1.5) is False and (RF_X == "x") is False
+    for v in (A, RF_X):
+        for bad in (1.5, "x"):
+            for op in (lambda u, w: u + w, lambda u, w: w + u, lambda u, w: u - w,
+                       lambda u, w: w - u, lambda u, w: u * w, lambda u, w: w * u,
+                       lambda u, w: u / w, lambda u, w: w / u):
+                with pytest.raises(TypeError):
+                    op(v, bad)
+        with pytest.raises(TypeError):
+            v ** F(1, 2)
+    with pytest.raises(AttributeError, match=r"^ParamScalar is immutable$"):
+        A.num = ()
+    with pytest.raises(AttributeError, match=r"^RatFunc is immutable$"):
+        RF_X.den = (PS_ONE,)
+    assert A.num == (F(0), F(1)) and RF_X.num == (PS_ZERO, PS_ONE)
