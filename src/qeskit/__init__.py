@@ -4,7 +4,7 @@ polynomial and power-extended function spaces.
 The package is layered:
 
     scalars    exact rationals, parameter rational functions, RatFunc
-    operators  normal-ordered differential operators and their actions
+    operators  normal-ordered and graded Euler-form operators, actions
     spaces     ladder spaces P_n + x^a P_m, generators, invariance, search
     probe      commutator tables, relation checks, polynomial fits
     quadext    spaces P_n + f P_m with f^2 rational, matrix calculus
@@ -35,11 +35,9 @@ from .operators import (
     QuasiPoly,
     act,
     act_poly,
-    act_quasi,
     act_rat,
     commutator,
     compose,
-    conjugate_by_power,
 )
 from .spaces import (
     InvarianceReport,

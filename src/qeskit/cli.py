@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import probe
 from .dsl import (
@@ -319,15 +320,17 @@ def _cmd_catalog(args, rep) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first call.  It holds no
+    environment-dependent default: main reads QES_FORMAT on every call."""
     # the common flags are accepted both before and after the subcommand;
     # the subparser copies use SUPPRESS so they never clobber values parsed
     # by the main parser
     def add_common(parser, suppress):
         parser.add_argument(
             "--format", choices=("json", "text"),
-            default=argparse.SUPPRESS if suppress
-            else os.environ.get("QES_FORMAT", "text"),
+            default=argparse.SUPPRESS if suppress else None,
             help="output format (env QES_FORMAT sets the default)")
         parser.add_argument(
             "--out", metavar="FILE",
@@ -421,7 +424,7 @@ def main(argv=None) -> int:
         code = 2
     rep["timing_ms"] = (time.monotonic_ns() - start) // 1_000_000
     rep["exit_code"] = code
-    _emit(rep, args.format, args.out)
+    _emit(rep, args.format or os.environ.get("QES_FORMAT", "text"), args.out)
     return code
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .operators import DiffOp, QuasiDiffOp, commutator
+from .operators import QuasiDiffOp, commutator
 from .quadext import MatOp, QuadSpace, lame_preset, lift_d, lift_f, lift_x, \
     ratio_sqrt_preset, sqrt_quadratic_preset
 from .scalars import ExactError, PARAM, ParamScalar, QuasiExponent, RatFunc, rat
@@ -46,7 +46,7 @@ from .spaces import (
 
 # Largest integer exponent the grammar accepts.  The cost of a power grows
 # fast with it: on a 2-core VM with Python 3.11, (x+d)^32 takes about 1 s
-# and (x+d)^64 about 30 s.
+# and (x+d)^64 about 13 s.
 MAX_EXPONENT = 32
 
 # Largest operator order and x-degree (the largest numerator or denominator
@@ -336,6 +336,7 @@ def _join_prod(node: Prod) -> str:
 # ---------------------------------------------------------------------------
 
 _PARAM_NAMES = {"a", "lam", "lambda", "k2"}
+_LADDER_ATOMS = {"x": (1, 0, 1), "d": (0, 1, 1), "D": (1, 1, 1)}  # c x^i d^j
 
 Value = Union[ParamScalar, QuasiDiffOp, MatOp]
 
@@ -411,12 +412,11 @@ _GENERATORS = _gen_table()
 
 def _order_degree(v) -> tuple[int, int]:
     """Operator order and x-degree of a value; scalars have (0, 0)."""
-    if isinstance(v, MatOp):
-        ops = [L for row in v.rows() for L in row]
-    elif isinstance(v, QuasiDiffOp):
-        ops = [L for _, L in v.parts]
-    else:
+    if isinstance(v, QuasiDiffOp):
+        return v.size()
+    if not isinstance(v, MatOp):
         return 0, 0
+    ops = [L for row in v.rows() for L in row]
     order = max((L.order() or 0 for L in ops), default=0)
     degree = max((max(len(c.num), len(c.den)) - 1
                   for L in ops for _, c in L.terms), default=0)
@@ -461,12 +461,8 @@ class _Evaluator:
         if name == "a" or (self.space is not None and name in _PARAM_NAMES):
             return PARAM
         if self.space is None:
-            if name == "x":
-                return QuasiDiffOp.coerce(DiffOp.mult(RatFunc.x()))
-            if name == "d":
-                return QuasiDiffOp.coerce(DiffOp.d())
-            if name == "D":
-                return QuasiDiffOp.coerce(DiffOp.euler())
+            if name in _LADDER_ATOMS:
+                return QuasiDiffOp.from_cells([_LADDER_ATOMS[name]])
             if name == "f":
                 raise DslEvalError("f needs a quadratic-extension space")
         else:

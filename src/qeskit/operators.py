@@ -1,32 +1,39 @@
-"""Normal-ordered linear differential operators and their exact actions.
+"""Linear differential operators and their exact actions, in two forms.
 
 A DiffOp is a finite sum sum_j c_j(x) d^j with RatFunc coefficients, kept
 in normal order: coefficient functions on the left, derivative powers on
-the right.  Composition uses the rewrite d∘c(x) = c(x)d + c'(x) (Leibniz),
-so products, commutators and conjugations stay exact and canonical.
+the right.  Composition uses the rewrite d∘c(x) = c(x)d + c'(x) (Leibniz).
+This is the calculus of the quadratic-extension and Lamé paths, whose
+coefficients are general rational functions of x; act_poly and act_rat
+apply it to polynomials and rational functions.
 
-Operators act on two carriers:
+A QuasiDiffOp is a ladder operator in graded Euler form
 
-  * plain polynomials in x        -> act_poly, result a RatFunc
-  * quasi-polynomials sum c_e x^e -> act_quasi, exponents e = offset + t*a
+    sum_g x^g p_g(D),    D = x d,
 
-Quasi-monomial action needs Laurent-effective coefficients (denominators
-that are pure powers of x); anything else raises NonLaurentCoefficient
-rather than silently coercing.
+with the grade g a QuasiExponent (in Z + Z*a) and p_g a polynomial in D
+over the parameter field.  A quasi-monomial goes x^e -> p_g(e) x^(e+g),
+so every ladder operation is a polynomial operation:
 
-A QuasiDiffOp extends DiffOp with trailing multiplications by non-integer
-powers x^E (E a QuasiExponent).  Every word in {rational-coefficient
-operators, x^E multipliers} normalizes to sum_E L_E ∘ x^E by conjugating
-the x^E factors to the right; integer parts of E are absorbed back into
-the DiffOp so the form is unique.  This is what the subspace-exchanging
-generators live in.
+    composition   x^g p(D) ∘ x^h q(D) = x^(g+h) p(D+h) q(D)
+    action        x^g p(D) x^e = p(e) x^(e+g)
+    conjugation   x^e ∘ x^g p(D) ∘ x^-e = x^g p(D-e)
+
+An operator with Laurent coefficients (denominators pure powers of x) has
+a graded form: x^i d^j is x^(i-j) D(D-1)...(D-j+1).  Any other DiffOp
+raises NonLaurentCoefficient rather than being coerced.  The graded form
+is converted back to normal order, sum_E L_E ∘ x^E with L_E a DiffOp and
+E the non-integer part of the grades, only to print an operator or hand
+out a DiffOp; that form is unique, so a print does not depend on how the
+operator was built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping, Union
+from functools import cache
+from math import comb, floor
+from typing import Iterable, Mapping
 
 from .scalars import (
     ExactError,
@@ -38,7 +45,10 @@ from .scalars import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    poly_add,
     poly_deriv,
+    poly_eval,
+    poly_mul,
     poly_trim,
     pow_by_squaring,
     rat,
@@ -71,13 +81,6 @@ def _wrap(s: str) -> str:
         else:
             return s
     return f"({s})"
-
-
-Scalar = Union[int, Fraction, ParamScalar]
-
-
-def _scalar(v) -> ParamScalar:
-    return ParamScalar.coerce(v)
 
 
 class DiffOp:
@@ -135,12 +138,6 @@ class DiffOp:
     def as_dict(self) -> dict[int, RatFunc]:
         return dict(self.terms)
 
-    def coeff(self, j: int) -> RatFunc:
-        for k, c in self.terms:
-            if k == j:
-                return c
-        return RF_ZERO
-
     def order(self):
         return self.terms[-1][0] if self.terms else None
 
@@ -149,7 +146,7 @@ class DiffOp:
 
     def __eq__(self, other):
         if isinstance(other, QuasiDiffOp):
-            return QuasiDiffOp.coerce(self) == other
+            return other == self
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self.terms == other.terms
@@ -159,21 +156,6 @@ class DiffOp:
 
     def is_laurent(self) -> bool:
         return all(c.is_laurent() for _, c in self.terms)
-
-    def as_monomial_mult(self):
-        """Return (k, c) if this is multiplication by c*x^k, else None."""
-        if not self.terms:
-            return None
-        if len(self.terms) != 1 or self.terms[0][0] != 0:
-            return None
-        c = self.terms[0][1]
-        if not c.is_laurent():
-            return None
-        t, num = c.laurent_parts()
-        nz = [(i, v) for i, v in enumerate(num) if v]
-        if len(nz) != 1:
-            return None
-        return nz[0][0] - t, nz[0][1]
 
     # -- linear structure ----------------------------------------------------
 
@@ -265,7 +247,10 @@ X_OP = DiffOp({0: RatFunc.x()})
 
 
 def compose(A: DiffOp, B: DiffOp) -> DiffOp:
-    """Normal-ordered product A∘B (apply B first)."""
+    """Normal-ordered product A∘B (apply B first), by Leibniz; the graded
+    product when either factor is a QuasiDiffOp."""
+    if isinstance(A, QuasiDiffOp) or isinstance(B, QuasiDiffOp):
+        return QuasiDiffOp.coerce(A) * B
     out: dict[int, RatFunc] = {}
     for j, cj in A.terms:
         for k, dk in B.terms:
@@ -285,26 +270,6 @@ def commutator(A, B):
     """A∘B - B∘A for any operators with * and - (DiffOp, QuasiDiffOp and
     quadext.MatOp alike)."""
     return A * B - B * A
-
-
-def conjugate_by_power(A: DiffOp, e) -> DiffOp:
-    """x^e ∘ A ∘ x^(-e) with e a parameter-field constant.
-
-    Realized by substituting d -> d - e/x into the normal form; the result
-    picks up at most x powers in denominators.
-    """
-    if isinstance(e, QuasiExponent):
-        e = e.to_param()
-    e = _scalar(e)
-    L = DiffOp({1: RF_ONE, 0: RatFunc((-e,), (PS_ZERO, PS_ONE))})
-    powers = [DiffOp.identity()]
-    max_order = A.order() or 0
-    for _ in range(max_order):
-        powers.append(compose(powers[-1], L))
-    out = DiffOp.zero()
-    for j, c in A.terms:
-        out = out + compose(DiffOp.mult(c), powers[j])
-    return out
 
 
 def act_poly(A: DiffOp, p) -> RatFunc:
@@ -389,10 +354,6 @@ class QuasiPoly:
         c = ParamScalar.coerce(c)
         return QuasiPoly([(e, v * c) for e, v in self.terms])
 
-    def shift(self, E: QuasiExponent) -> "QuasiPoly":
-        """Multiply by x^E."""
-        return QuasiPoly([(e + E, c) for e, c in self.terms])
-
     def coeff(self, e: QuasiExponent) -> ParamScalar:
         for f, c in self.terms:
             if f == e:
@@ -426,68 +387,68 @@ class QuasiPoly:
         return f"QuasiPoly({self.str()})"
 
 
-def _falling(e: ParamScalar, j: int) -> ParamScalar:
-    """e (e-1) ... (e-j+1), exact in the parameter field."""
-    out = PS_ONE
-    for i in range(j):
-        out = out * (e - i)
-    return out
+@cache
+def _falling(j: int) -> tuple[ParamScalar, ...]:
+    """Coefficients of D(D-1)...(D-j+1) = x^j d^j in powers of D (signed
+    Stirling numbers of the first kind)."""
+    out = (1,)
+    for k in range(j):
+        out = tuple((out[i - 1] if i else 0) - (k * out[i] if i <= k else 0)
+                    for i in range(k + 2))
+    return tuple(ParamScalar.const(c) for c in out)
 
 
-def act_quasi(A: DiffOp, v: QuasiPoly) -> QuasiPoly:
-    """Apply a Laurent-effective operator to a quasi-polynomial.
-
-    Uses d^j x^e = e(e-1)...(e-j+1) x^(e-j) with the exponent carried
-    exactly as offset + t*a.
-    """
-    out: dict[QuasiExponent, ParamScalar] = {}
-    for j, c in A.terms:
-        if not c.is_laurent():
-            raise NonLaurentCoefficient(f"non-Laurent coefficient: {c}")
-        t, num = c.laurent_parts()
-        for e, ce in v.terms:
-            base = ce * _falling(e.to_param(), j)
-            if not base:
-                continue
-            e1 = e - j
-            for i, ni in enumerate(num):
-                if not ni:
-                    continue
-                key = e1 + (i - t)
-                val = base * ni
-                out[key] = out[key] + val if key in out else val
-    return QuasiPoly(out)
+@cache
+def _stirling2(i: int) -> tuple[ParamScalar, ...]:
+    """S(i, j) for j = 0..i: D^i = sum_j S(i, j) x^j d^j (Stirling numbers
+    of the second kind)."""
+    out = (1,)
+    for k in range(i):
+        out = tuple((out[j - 1] if j else 0) + (j * out[j] if j <= k else 0)
+                    for j in range(k + 2))
+    return tuple(ParamScalar.const(c) for c in out)
 
 
-_QDVal = Union[DiffOp, "QuasiDiffOp", int, Fraction, ParamScalar]
+def _taylor_shift(p: tuple, h: ParamScalar) -> tuple:
+    """p(D + h), one synthetic-division sweep per degree."""
+    if not h or len(p) < 2:
+        return p
+    c = list(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = c[j] + h * c[j + 1]
+    return tuple(c)  # the leading coefficient is unchanged
+
+
+def _roots_poly(roots) -> tuple[ParamScalar, ...]:
+    """prod (D - r) over roots, as coefficients in D."""
+    out = [PS_ONE]
+    for r in roots:
+        r = ParamScalar.coerce(r)
+        out = ([-(r * out[0])] + [out[i - 1] - r * out[i] for i in range(1, len(out))]
+               + [out[-1]])
+    return tuple(out)
 
 
 class QuasiDiffOp:
-    """sum over E of L_E ∘ x^E: differential operators with trailing
-    quasi-power multipliers; canonical and immutable.
+    """sum_g x^g p_g(D) in graded Euler form; canonical and immutable.
 
-    Canonical form: E has zero integer part (the integer power of x is
-    folded into L_E) and the E = 0 slot is a plain DiffOp.
+    `parts` is a tuple of (g, p) sorted by grade, with g a QuasiExponent
+    and p a trimmed, nonzero tuple of ParamScalar coefficients in D (low
+    degree first).  Pieces of different grades send x^e to different
+    exponents, so the form is unique and equality is structural.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         items = parts.items() if isinstance(parts, Mapping) else parts
-        acc: dict[QuasiExponent, DiffOp] = {}
-        for E, L in items:
-            if not L:
-                continue
-            w = E.offset - (E.offset % 1)  # integer part (floor for rationals)
-            if w:
-                L = compose(L, DiffOp.x_power(int(w)))
-                E = QuasiExponent(E.a_part, E.offset - w)
-            cur = acc.get(E)
-            acc[E] = cur + L if cur is not None else L
+        acc: dict[QuasiExponent, tuple] = {}
+        for g, p in items:
+            acc[g] = poly_add(acc[g], p) if g in acc else poly_trim(p)
         object.__setattr__(
-            self,
-            "parts",
-            tuple(sorted(((E, L) for E, L in acc.items() if L),
+            self, "parts",
+            tuple(sorted(((g, p) for g, p in acc.items() if p),
                          key=lambda t: t[0])),
         )
 
@@ -497,17 +458,41 @@ class QuasiDiffOp:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def coerce(cls, v: _QDVal) -> "QuasiDiffOp":
+    def coerce(cls, v) -> "QuasiDiffOp":
+        """A QuasiDiffOp as it is, a Laurent DiffOp in graded form, or a
+        scalar as a multiple of the identity."""
         if isinstance(v, QuasiDiffOp):
             return v
         if isinstance(v, DiffOp):
-            return cls([(QE_ZERO, v)])
-        return cls([(QE_ZERO, _as_diffop(v))])
+            cells = []
+            for j, c in v.terms:
+                if not c.is_laurent():
+                    raise NonLaurentCoefficient(f"non-Laurent coefficient: {c}")
+                t, num = c.laurent_parts()
+                cells.extend((i - t, j, ci) for i, ci in enumerate(num) if ci)
+            return cls.from_cells(cells)
+        return cls({QE_ZERO: (ParamScalar.coerce(v),)})
+
+    @classmethod
+    def from_cells(cls, cells: Iterable) -> "QuasiDiffOp":
+        """sum c x^i d^j over (i, j, c), i any integer: x^i d^j is the
+        piece of grade i - j with p = D(D-1)...(D-j+1)."""
+        acc: dict[QuasiExponent, tuple] = {}
+        for i, j, c in cells:
+            g = QuasiExponent(Fraction(0), Fraction(i - j))
+            r = tuple(c * f for f in _falling(j))
+            acc[g] = poly_add(acc[g], r) if g in acc else r
+        return cls(acc)
+
+    @classmethod
+    def euler_poly(cls, roots, grade: QuasiExponent = QE_ZERO) -> "QuasiDiffOp":
+        """x^grade prod (D - r) over roots."""
+        return cls({grade: _roots_poly(roots)})
 
     @classmethod
     def power_shift(cls, E: QuasiExponent) -> "QuasiDiffOp":
         """Multiplication by x^E."""
-        return cls([(E, DiffOp.identity())])
+        return cls({E: (PS_ONE,)})
 
     @classmethod
     def zero(cls) -> "QuasiDiffOp":
@@ -520,7 +505,10 @@ class QuasiDiffOp:
 
     def __eq__(self, other):
         if isinstance(other, (DiffOp, int, Fraction, ParamScalar)):
-            other = QuasiDiffOp.coerce(other)
+            try:
+                other = QuasiDiffOp.coerce(other)
+            except NonLaurentCoefficient:
+                return False  # every graded operator is Laurent
         if not isinstance(other, QuasiDiffOp):
             return NotImplemented
         return self.parts == other.parts
@@ -529,47 +517,57 @@ class QuasiDiffOp:
         return hash(self.parts)
 
     def is_plain(self) -> bool:
-        """True iff no genuine quasi-power multiplier remains."""
-        return all(E == QE_ZERO for E, _ in self.parts)
+        """True iff every grade is an integer: no quasi-power remains."""
+        return all(g.a_part == 0 and g.offset.denominator == 1
+                   for g, _ in self.parts)
 
     def plain(self) -> DiffOp:
-        if not self.parts:
-            return DiffOp.zero()
         if not self.is_plain():
             raise ExactError(f"{self} carries quasi-power shifts")
-        return self.parts[0][1]
+        parts = self.normal_parts()
+        return parts[0][1] if parts else DiffOp.zero()
+
+    def as_monomial_mult(self):
+        """Return (E, c) if this is multiplication by c*x^E, else None."""
+        if len(self.parts) != 1 or len(self.parts[0][1]) != 1:
+            return None
+        E, p = self.parts[0]
+        return E, p[0]
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
-        o = QuasiDiffOp.coerce(other) if not isinstance(other, QuasiDiffOp) else other
-        return QuasiDiffOp(list(self.parts) + list(o.parts))
+        o = other if isinstance(other, QuasiDiffOp) else QuasiDiffOp.coerce(other)
+        return QuasiDiffOp(self.parts + o.parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuasiDiffOp([(E, -L) for E, L in self.parts])
+        return QuasiDiffOp([(g, tuple(-c for c in p)) for g, p in self.parts])
 
     def __sub__(self, other):
-        o = QuasiDiffOp.coerce(other) if not isinstance(other, QuasiDiffOp) else other
+        o = other if isinstance(other, QuasiDiffOp) else QuasiDiffOp.coerce(other)
         return self + (-o)
 
     def __rsub__(self, other):
         return QuasiDiffOp.coerce(other) - self
 
     def scale(self, c) -> "QuasiDiffOp":
-        return QuasiDiffOp([(E, L.scale(c)) for E, L in self.parts])
+        c = ParamScalar.coerce(c)
+        return QuasiDiffOp([(g, tuple(v * c for v in p)) for g, p in self.parts])
 
     def __mul__(self, other):
-        """Composition: (L1∘x^E1)(L2∘x^E2) = (L1 ∘ x^E1 L2 x^-E1) ∘ x^(E1+E2)."""
+        """Composition: x^g p(D) ∘ x^h q(D) = x^(g+h) p(D+h) q(D)."""
         if isinstance(other, (int, Fraction, ParamScalar)):
             return self.scale(other)
-        o = QuasiDiffOp.coerce(other) if not isinstance(other, QuasiDiffOp) else other
-        acc: list = []
-        for E1, L1 in self.parts:
-            for E2, L2 in o.parts:
-                mid = conjugate_by_power(L2, E1) if (E1.a_part or E1.offset) else L2
-                acc.append((E1 + E2, compose(L1, mid)))
+        o = other if isinstance(other, QuasiDiffOp) else QuasiDiffOp.coerce(other)
+        acc: dict[QuasiExponent, tuple] = {}
+        for h, q in o.parts:
+            hs = h.to_param()
+            for g, p in self.parts:
+                r = poly_mul(_taylor_shift(p, hs), q)
+                k = g + h
+                acc[k] = poly_add(acc[k], r) if k in acc else r
         return QuasiDiffOp(acc)
 
     def __rmul__(self, other):
@@ -582,37 +580,111 @@ class QuasiDiffOp:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return pow_by_squaring(self, k, QuasiDiffOp.coerce(DiffOp.identity()))
+        return pow_by_squaring(self, k, QuasiDiffOp.coerce(1))
 
-    def as_monomial_mult(self):
-        """Return (E, c) if this is multiplication by c*x^E, else None."""
-        if len(self.parts) != 1:
-            return None
-        E, L = self.parts[0]
-        mono = L.as_monomial_mult()
-        if mono is None:
-            return None
-        k, c = mono
-        return E + k, c
+    def conjugate(self, e) -> "QuasiDiffOp":
+        """x^e ∘ self ∘ x^-e for e in the parameter field: p(D) -> p(D-e)."""
+        h = -ParamScalar.coerce(e)
+        return QuasiDiffOp([(g, _taylor_shift(p, h)) for g, p in self.parts])
 
     # -- action ---------------------------------------------------------------
 
-    def act(self, v: QuasiPoly) -> QuasiPoly:
-        out = QuasiPoly()
-        for E, L in self.parts:
-            w = v.shift(E) if (E.a_part or E.offset) else v
-            out = out + act_quasi(L, w)
+    def images(self, exponents, where=None) -> list[dict[QuasiExponent, ParamScalar]]:
+        """The image of x^e for each e in exponents, as {e + g: p_g(e)}
+        in increasing order of e + g, zero values left out:
+        x^g p(D) x^e = p(e) x^(e+g).  With `where`, only the exponents
+        e + g for which where(e + g) holds are evaluated and kept.
+
+        An exponent is e = t*a + k with k rational.  p(e) is evaluated as
+        p(D + t*a) at k, with one Taylor shift per piece and per t, so the
+        parameter is substituted once and not once per exponent.
+        """
+        shifted: dict = {}
+        out = []
+        for e in exponents:
+            k = ParamScalar.const(e.offset)
+            img = {}
+            for i, (g, p) in enumerate(self.parts):
+                f = e + g
+                if where is not None and not where(f):
+                    continue
+                q = shifted.get((i, e.a_part))
+                if q is None:
+                    q = shifted[(i, e.a_part)] = _taylor_shift(
+                        p, ParamScalar((0, e.a_part)))
+                val = poly_eval(q, k, PS_ZERO)
+                if val:
+                    img[f] = val
+            out.append(img)
         return out
 
+    def act(self, v: QuasiPoly) -> QuasiPoly:
+        """Action on a quasi-polynomial, term by term through images."""
+        out: dict[QuasiExponent, ParamScalar] = {}
+        for (_, c), img in zip(v.terms, self.images([e for e, _ in v.terms])):
+            for f, val in img.items():
+                out[f] = out[f] + c * val if f in out else c * val
+        return QuasiPoly(out)
+
     def specialize(self, a0) -> "QuasiDiffOp":
-        """Evaluate the parameter everywhere (shifts become rational)."""
+        """Evaluate the parameter everywhere (grades become rational)."""
         a0 = rat(a0)
-        acc = []
-        for E, L in self.parts:
-            E2 = E.specialize(a0)
-            L2 = DiffOp([(j, c.specialize(a0)) for j, c in L.terms])
-            acc.append((E2, L2))
-        return QuasiDiffOp(acc)
+        return QuasiDiffOp([
+            (g.specialize(a0), tuple(ParamScalar.const(c.specialize(a0)) for c in p))
+            for g, p in self.parts
+        ])
+
+    # -- normal form ------------------------------------------------------------
+
+    def _normal_terms(self):
+        """The normal form as (E, j, k, c), one per term c x^k d^j ∘ x^E.
+
+        x^g p(D) = x^w p(D-E) ∘ x^E with E the non-integer part of g and w
+        its integer part, and D^i = sum_j S(i, j) x^j d^j.  Pieces with one
+        E differ in w, so no two of them give the same (E, j, k).
+        """
+        for g, p in self.parts:
+            w = floor(g.offset)
+            E = QuasiExponent(g.a_part, g.offset - w)
+            p = _taylor_shift(p, -E.to_param())
+            for j in range(len(p)):
+                s = PS_ZERO
+                for i in range(j, len(p)):
+                    if p[i]:
+                        s = s + p[i] * _stirling2(i)[j]
+                if s:
+                    yield E, j, w + j, s
+
+    def normal_parts(self) -> list[tuple[QuasiExponent, DiffOp]]:
+        """[(E, L_E)] sorted by E, with self = sum_E L_E ∘ x^E and E the
+        non-integer parts of the grades."""
+        slots: dict = {}
+        for E, j, k, c in self._normal_terms():
+            slots.setdefault(E, {}).setdefault(j, {})[k] = c
+        out = []
+        for E in sorted(slots):
+            terms = {}
+            for j, cs in slots[E].items():
+                lo = min(min(cs), 0)
+                num = [PS_ZERO] * (max(cs) - lo + 1)
+                for k, c in cs.items():
+                    num[k - lo] = c
+                terms[j] = RatFunc(num, (PS_ZERO,) * -lo + (PS_ONE,))
+            out.append((E, DiffOp(terms)))
+        return out
+
+    def size(self) -> tuple[int, int]:
+        """Order and x-degree of the normal form: the largest j of a term
+        x^k d^j, and the largest numerator or denominator degree in x among
+        the coefficients."""
+        span: dict = {}
+        for E, j, k, _ in self._normal_terms():
+            lo, hi = span.get((E, j), (k, k))
+            span[(E, j)] = (min(lo, k), max(hi, k))
+        order = max((j for _, j in span), default=0)
+        degree = max((max(hi, 0) - min(lo, 0) for lo, hi in span.values()),
+                     default=0)
+        return order, degree
 
     # -- printing ---------------------------------------------------------------
 
@@ -620,22 +692,18 @@ class QuasiDiffOp:
         return self.str()
 
     def str(self, name: str = "a") -> str:
-        if not self.parts:
-            return "0"
         parts = []
-        for E, L in self.parts:
+        for E, L in self.normal_parts():
             if E == QE_ZERO:
                 parts.append(L.str(name))
             else:
                 parts.append(f"{_wrap(L.str(name))}*x^({E.str(name)})")
-        return _join_sum(parts)
+        return _join_sum(parts) if parts else "0"
 
     def __repr__(self):
         return f"QuasiDiffOp({self.str()})"
 
 
 def act(A, v: QuasiPoly) -> QuasiPoly:
-    """Uniform action for DiffOp and QuasiDiffOp."""
-    if isinstance(A, DiffOp):
-        return act_quasi(A, v)
-    return A.act(v)
+    """Action of a QuasiDiffOp, or of a Laurent DiffOp, on a quasi-polynomial."""
+    return QuasiDiffOp.coerce(A).act(v)

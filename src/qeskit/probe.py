@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .operators import DiffOp, QuasiDiffOp, QuasiPoly
+from .operators import QuasiDiffOp, QuasiPoly
 from .scalars import PS_ONE, PS_ZERO, ParamScalar, QuasiExponent
 from .spaces import V1Space
 
@@ -135,13 +135,12 @@ def fit_poly_in_J0(
 
     canonical = False
     if J0q.is_plain() and A.is_plain():
-        J0_plain = J0q.plain()
-        poly_op = DiffOp.zero()
-        power = DiffOp.identity()
-        for k, c in enumerate(coeffs):
+        poly_op = QuasiDiffOp.zero()
+        power = QuasiDiffOp.coerce(1)
+        for c in coeffs:
             poly_op = poly_op + power.scale(c)
-            power = power * J0_plain
-        canonical = poly_op == A.plain()
+            power = power * J0q
+        canonical = poly_op == A
     return FitResult(True, coeffs, deg, raised, canonical, None)
 
 
@@ -267,7 +266,7 @@ def commutator_table(
     table = s.commutator_coords(qops)
     if table is None:
         raise ValueError("a generator does not preserve the space")
-    span_ops = qops + [QuasiDiffOp.coerce(DiffOp.identity())]
+    span_ops = qops + [QuasiDiffOp.coerce(1)]
 
     entries = []
     for (i, j), (C, sol) in table.items():

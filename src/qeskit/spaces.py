@@ -20,22 +20,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .operators import (
-    DiffOp,
-    QuasiDiffOp,
-    QuasiPoly,
-    commutator,
-    compose,
-    conjugate_by_power,
-)
+from .operators import QuasiDiffOp, commutator
 from .scalars import (
     ExactError,
     PS_ONE,
     PS_ZERO,
     ParamScalar,
     QuasiExponent,
-    RatFunc,
-    common_denominator,
     param_or_const,
     qexp,
     rat,
@@ -182,12 +173,11 @@ class V1Space(FiniteSpace):
         return self.in_ladder(e, "poly") or self.in_ladder(e, "quasi")
 
     def matrix(self, op) -> Optional[list[list[ParamScalar]]]:
-        op = QuasiDiffOp.coerce(op)
         basis = self.basis()
         index = {e: i for i, e in enumerate(basis)}
         A = [[PS_ZERO] * len(basis) for _ in basis]
-        for col, e in enumerate(basis):
-            for f, c in op.act(QuasiPoly.monomial(e)).terms:
+        for col, img in enumerate(QuasiDiffOp.coerce(op).images(basis)):
+            for f, c in img.items():
                 if f not in index:
                     return None
                 A[index[f]][col] = c
@@ -204,52 +194,47 @@ class V1Space(FiniteSpace):
 
 # ---------------------------------------------------------------------------
 # Generator catalogue
+#
+# Every generator is built in graded Euler form: x^g times a polynomial in
+# D = x d, written by its roots.  d is x^-1 D.
 # ---------------------------------------------------------------------------
 
+_UP, _DOWN = qexp(1), qexp(-1)
 
-def make_sl2(n: int, a: AValue = None) -> dict[str, DiffOp]:
+
+def make_sl2(n: int, a: AValue = None) -> dict[str, QuasiDiffOp]:
     """The classical triple preserving P_n: raising, diagonal, lowering."""
-    Dv = DiffOp.euler()
-    n_s = ParamScalar.const(n)
     return {
-        "jp": compose(DiffOp.mult(RatFunc.x()), Dv - n_s),
-        "j0": Dv - n_s / 2,
-        "jm": DiffOp.d(),
+        "jp": QuasiDiffOp.euler_poly([n], _UP),
+        "j0": QuasiDiffOp.euler_poly([Fraction(n, 2)]),
+        "jm": QuasiDiffOp.euler_poly([0], _DOWN),
     }
 
 
-def make_k(n: int, a: AValue = None) -> dict[str, DiffOp]:
+def make_k(n: int, a: AValue = None) -> dict[str, QuasiDiffOp]:
     """The sl2 triple conjugated by x^a (acts on the x^a ladder)."""
     a_s = param_or_const(a)
     js = make_sl2(n)
+    return {"kp": js["jp"].conjugate(a_s), "k0": js["j0"].conjugate(a_s),
+            "km": js["jm"].conjugate(a_s)}
+
+
+def make_bosonic(n: int, m: int, a: AValue = None) -> dict[str, QuasiDiffOp]:
+    """The second-order triple preserving both ladders at once:
+    x (D - n)(D - m - a), D - (m+n+1)/2 and (D + 1 - a) d = x^-1 D (D - a)."""
+    a_s = param_or_const(a)
     return {
-        "kp": conjugate_by_power(js["jp"], a_s),
-        "k0": conjugate_by_power(js["j0"], a_s),
-        "km": conjugate_by_power(js["jm"], a_s),
+        "Jp": QuasiDiffOp.euler_poly([n, m + a_s], _UP),
+        "J0": QuasiDiffOp.euler_poly([Fraction(m + n + 1, 2)]),
+        "Jm": QuasiDiffOp.euler_poly([0, a_s], _DOWN),
     }
 
 
-def make_bosonic(n: int, m: int, a: AValue = None) -> dict[str, DiffOp]:
-    """The second-order triple preserving both ladders at once."""
-    Dv = DiffOp.euler()
-    a_s = param_or_const(a)
-    Jp = compose(DiffOp.mult(RatFunc.x()), compose(Dv - n, Dv - (m + a_s)))
-    J0 = Dv - ParamScalar.const(Fraction(m + n + 1, 2))
-    Jm = compose(Dv + (1 - a_s), DiffOp.d())
-    return {"Jp": Jp, "J0": J0, "Jm": Jm}
-
-
-def make_kernels(n: int, m: int, a: AValue = None) -> dict[str, DiffOp]:
+def make_kernels(n: int, m: int, a: AValue = None) -> dict[str, QuasiDiffOp]:
     """K kills the polynomial ladder; Kprime kills the x^a ladder."""
-    Dv = DiffOp.euler()
     a_s = param_or_const(a)
-    K = DiffOp.identity()
-    for i in range(n + 1):
-        K = compose(K, Dv - (n - i))
-    Kp = DiffOp.identity()
-    for i in range(m + 1):
-        Kp = compose(Kp, Dv - (m + a_s - i))
-    return {"K": K, "Kprime": Kp}
+    return {"K": QuasiDiffOp.euler_poly(range(n + 1)),
+            "Kprime": QuasiDiffOp.euler_poly(range(m + 1)).conjugate(a_s)}
 
 
 class MappingContractError(ExactError):
@@ -266,19 +251,17 @@ class MixingOps:
     orientation: str  # "n>=m", "n<=m", "either (n=m)" or "either (colliding a)"
 
 
-def _qbar_factor(s: V1Space, alpha: int) -> DiffOp:
+def _qbar_factor(s: V1Space, alpha: int) -> QuasiDiffOp:
     """prod_{i<alpha} (D - (p+1-delta) - i) ∘ d^(delta-alpha)."""
-    Dv = DiffOp.euler()
-    out = DiffOp.d(s.delta - alpha) if s.delta - alpha > 0 else DiffOp.identity()
-    for i in range(alpha):
-        out = compose(Dv - (s.p_max + 1 - s.delta + i), out)
-    return out
+    k = s.delta - alpha
+    shift = s.p_max + 1 - s.delta + k  # (D - r) x^-k = x^-k (D - k - r)
+    return QuasiDiffOp.euler_poly(
+        [shift + i for i in range(alpha)] + list(range(k)), qexp(-k))
 
 
 def _maps_into(op: QuasiDiffOp, s: V1Space, part: str) -> bool:
     """Check op sends every basis vector into the named ladder (or to 0)."""
-    return all(s.in_ladder(f, part) for e in s.basis()
-               for f, _ in op.act(QuasiPoly.monomial(e)).terms)
+    return not any(op.images(s.basis(), lambda f: not s.in_ladder(f, part)))
 
 
 def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
@@ -300,16 +283,16 @@ def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
         down, up = qexp(-rat(a)), qexp(rat(a))
     shift_dn = QuasiDiffOp.power_shift(down)
     shift_up = QuasiDiffOp.power_shift(up)
-    x_alpha = DiffOp.x_power(alpha)
+    x_alpha = QuasiDiffOp.power_shift(qexp(alpha))
     qbar = _qbar_factor(s, alpha)
 
     candidates = {
         "n>=m": (
-            QuasiDiffOp.coerce(x_alpha) * shift_dn * ker["K"],
+            x_alpha * shift_dn * ker["K"],
             shift_up * qbar * ker["Kprime"],
         ),
         "n<=m": (
-            QuasiDiffOp.coerce(qbar) * shift_dn * ker["K"],
+            qbar * shift_dn * ker["K"],
             shift_up * x_alpha * ker["Kprime"],
         ),
     }
@@ -328,25 +311,18 @@ def make_mixing(n: int, m: int, a: AValue = None, alpha: int = 0) -> MixingOps:
     return MixingOps(Q, Qbar, alpha, name)
 
 
-def make_jumps(n: int, m: int, k: int) -> dict[str, DiffOp]:
+def make_jumps(n: int, m: int, k: int) -> dict[str, QuasiDiffOp]:
     """Ladder-exchanging operators for integer a = k, order k, degrees +/-k.
 
     Requires k >= 1, n <= k and m - k >= n.
     """
     if k < 1 or n > k or m - k < n:
         raise ValueError("need k >= 1, n <= k and m - k >= n")
-    Dv = DiffOp.euler()
-    Wp = DiffOp.identity()
-    for j in range(k):
-        Wp = compose(Wp, Dv - (k + m - j))
-    Wp = compose(DiffOp.x_power(k), Wp)
-    Wm = DiffOp.identity()
-    for j in range(n + 1):
-        Wm = compose(Wm, Dv - j)
-    for i in range(1, k - n):
-        Wm = compose(Wm, Dv - (k + n + i))
-    Wm = compose(DiffOp.x_power(-k), Wm)
-    return {"Wp": Wp, "Wm": Wm}
+    return {
+        "Wp": QuasiDiffOp.euler_poly([k + m - j for j in range(k)], qexp(k)),
+        "Wm": QuasiDiffOp.euler_poly(
+            list(range(n + 1)) + [k + n + i for i in range(1, k - n)], qexp(-k)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +358,12 @@ class InvarianceReport:
 
 def check_invariance(A, s: V1Space) -> InvarianceReport:
     """Apply A to each basis quasi-monomial; collect out-of-space terms."""
-    A = QuasiDiffOp.coerce(A)
+    basis = s.basis()
     witnesses = []
-    for e in s.basis():
-        out = A.act(QuasiPoly.monomial(e))
-        for f, c in out.terms:
-            if not s.contains_exponent(f):
-                witnesses.append(InvarianceWitness(e, f, c))
+    outside = QuasiDiffOp.coerce(A).images(
+        basis, lambda f: not s.contains_exponent(f))
+    for e, img in zip(basis, outside):
+        witnesses.extend(InvarianceWitness(e, f, c) for f, c in img.items())
     return InvarianceReport(not witnesses, tuple(witnesses))
 
 
@@ -403,7 +378,7 @@ def _ansatz_cells(max_order: int, deg_lo: int, deg_hi: int) -> list[tuple[int, i
 
 def search_preserving(
     s: V1Space, max_order: int, deg_lo: int, deg_hi: int
-) -> list[DiffOp]:
+) -> list[QuasiDiffOp]:
     """Exact basis of {sum c_ij x^i d^j : the sum preserves s} within the
     given order and degree windows.
 
@@ -438,13 +413,8 @@ def search_preserving(
 
     ops = []
     for vec in sols:
-        terms: dict[int, RatFunc] = {}
-        for c, (i, j) in zip(vec, cells):
-            if not c:
-                continue
-            mono = RatFunc.x_power(i) * c
-            terms[j] = terms.get(j, RatFunc()) + mono
-        op = DiffOp(terms)
+        op = QuasiDiffOp.from_cells(
+            (i, j, c) for c, (i, j) in zip(vec, cells) if c)
         rep = check_invariance(op, s)
         if not rep.verdict:
             raise AssertionError(f"search produced non-invariant operator {op}")
@@ -461,21 +431,19 @@ def search_preserving(
     return ops
 
 
-def operator_in_span(op: DiffOp, basis_ops: Sequence[DiffOp]):
+def operator_in_span(op, basis_ops: Sequence):
     """Exact coordinates of op in span(basis_ops) as canonical forms, or
     None.  Coordinates live in the parameter field.
 
-    Per derivative order, all coefficients go over one common denominator
-    so matching powers of x gives parameter-field rows.
+    The operators x^g D^k are linearly independent, so the graded
+    coefficients of an operator are its coordinates in them.
     """
-    everyone = list(basis_ops) + [op]
-    orders = sorted({j for B in everyone for j, _ in B.terms})
-    vec_rows: list[list[ParamScalar]] = [[] for _ in everyone]
-    for j in orders:
-        _, nums = common_denominator([B.coeff(j) for B in everyone])
-        for row, p in zip(vec_rows, nums):
-            row.extend(p)
-    return linalg.in_span(vec_rows[:-1], vec_rows[-1], PS_ZERO, PS_ONE)
+    everyone = [dict(QuasiDiffOp.coerce(B).parts) for B in list(basis_ops) + [op]]
+    keys = sorted({(g, k) for B in everyone for g, p in B.items()
+                   for k in range(len(p))})
+    rows = [[B[g][k] if k < len(B.get(g, ())) else PS_ZERO for g, k in keys]
+            for B in everyone]
+    return linalg.in_span(rows[:-1], rows[-1], PS_ZERO, PS_ONE)
 
 
 # ---------------------------------------------------------------------------

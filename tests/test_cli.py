@@ -1,5 +1,6 @@
 """CLI behaviour: statuses, exit codes, report schema, exact output."""
 
+import hashlib
 import json
 import re
 import time
@@ -197,6 +198,17 @@ def test_out_file_and_env_format(tmp_path, capsys, monkeypatch):
     _validate(rep)
 
 
+def test_env_format_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, QES_FORMAT on every call
+    argv = ["check", "--space", "V1(1,1,a)", "--op", "J0(1,1,a)"]
+    monkeypatch.setenv("QES_FORMAT", "json")
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] is True
+    monkeypatch.setenv("QES_FORMAT", "text")
+    assert main(argv) == 0
+    assert "status: True" in capsys.readouterr().out
+
+
 def test_no_float_literals_in_json_text(capsys):
     code, out = run(capsys, "--format", "json", "lame", "--n", "2",
                     "--k2", "3/4", "--spectrum")
@@ -311,3 +323,20 @@ def test_generator_argument_cap_is_a_usage_error(capsys):
     code, rep = run_json(capsys, "check", "--space", "V1(2)",
                          "--op", f"K({MAX_ORDER})")
     assert code in (0, 1) and rep["error"] is None
+
+
+# sha256 of the normal form both calls below printed before ladder operators
+# moved to graded Euler form (Q with alpha = 0 is x^-a K(n) for either m)
+Q32_NORMAL_FORM_SHA256 = \
+    "dea219cb7fcbc724c35aa7161e78a857183e8e084de827f2c4819293ad6294be"
+
+
+@pytest.mark.parametrize("op", ["Q(32,32,a,0)", "Q(32,31,a,0)"])
+def test_slowest_accepted_generator_calls(capsys, op):
+    start = time.monotonic()
+    code, rep = run_json(capsys, "check", "--space", "V1(2)", "--op", op)
+    assert time.monotonic() - start < 5.0
+    assert code == 0 and rep["verdicts"] == {"invariant": True}
+    _validate(rep)
+    digest = hashlib.sha256(rep["normal_forms"]["op"].encode()).hexdigest()
+    assert digest == Q32_NORMAL_FORM_SHA256

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from leibniz_reference import LeibnizQuasiOp, act_quasi, conjugate_by_power
 from qeskit.operators import (
     DiffOp,
     NonLaurentCoefficient,
@@ -18,11 +19,9 @@ from qeskit.operators import (
     QuasiPoly,
     act,
     act_poly,
-    act_quasi,
     act_rat,
     commutator,
     compose,
-    conjugate_by_power,
 )
 from qeskit.scalars import PARAM, RatFunc, qexp
 
@@ -221,3 +220,90 @@ def test_conjugation_involution_property(op):
 @given(diffops(), diffops())
 def test_commutator_antisymmetry(a, b):
     assert commutator(a, b) == -commutator(b, a)
+
+
+# -- graded Euler form against the Leibniz reference ------------------------
+#
+# The reference (tests/leibniz_reference.py) is the calculus ladder
+# operators used before the graded form: sum_E L_E ∘ x^E composed by
+# Leibniz over RatFunc.  Both forms are built from the same random pieces
+# and must agree in normal form after every operation.
+
+# the symbolic parameter, two rational values, and two integers that make
+# the a-grades collide with the integer ones
+A_VALUES = (None, F(1, 2), F(7, 3), F(1), F(2))
+
+
+@st.composite
+def laurent_diffops(draw, symbolic):
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        num = []
+        for _ in range(draw(st.integers(1, 3))):
+            c = F(draw(st.integers(-2, 2)))
+            if symbolic and draw(st.booleans()):
+                c = c + draw(st.integers(-1, 1)) * A
+            num.append(c)
+        if not any(num):
+            num = [F(1)]
+        den = (0,) * draw(st.integers(0, 2)) + (1,)
+        terms[draw(st.integers(0, 2))] = RatFunc(num, den)
+    return DiffOp(terms)
+
+
+@st.composite
+def ladder_pairs(draw, a0):
+    """(graded, reference) for one random sum of pieces L ∘ x^E, with E of
+    the form t*a + k (t in -1..1) and a = a0 substituted when a0 is
+    rational."""
+    graded, pieces = QuasiDiffOp.zero(), []
+    for _ in range(draw(st.integers(1, 3))):
+        t, k = draw(st.integers(-1, 1)), draw(st.integers(-2, 2))
+        E = qexp(k, t) if a0 is None else qexp(k + t * a0)
+        L = draw(laurent_diffops(a0 is None))
+        graded = graded + QuasiDiffOp.coerce(L) * QuasiDiffOp.power_shift(E)
+        pieces.append((E, L))
+    return graded, LeibnizQuasiOp(pieces)
+
+
+def _normal_reading(ref):
+    """dsl's caps read order and x-degree off the normal form like this."""
+    ops = [L for _, L in ref.parts]
+    order = max((L.order() or 0 for L in ops), default=0)
+    degree = max((max(len(c.num), len(c.den)) - 1
+                  for L in ops for _, c in L.terms), default=0)
+    return order, degree
+
+
+@st.composite
+def graded_cases(draw):
+    a0 = draw(st.sampled_from(A_VALUES))
+    (g1, r1), (g2, r2) = draw(ladder_pairs(a0)), draw(ladder_pairs(a0))
+    e = A if a0 is None else a0
+    v = QuasiPoly([(qexp(draw(st.integers(-2, 3)), draw(st.integers(-1, 1)))
+                    if a0 is None else qexp(draw(st.integers(-2, 3))),
+                    F(draw(st.integers(1, 3)))) for _ in range(2)])
+    return g1, r1, g2, r2, e + draw(st.integers(-1, 1)), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_cases())
+def test_graded_form_matches_leibniz_reference(case):
+    g1, r1, g2, r2, e, v = case
+    assert g1.normal_parts() == list(r1.parts)
+    assert g1.str() == r1.str()
+    assert g1.size() == _normal_reading(r1)
+    assert (g1 * g2).normal_parts() == list((r1 * r2).parts)
+    assert g1.conjugate(e).normal_parts() == list(r1.conjugate(e).parts)
+    assert g1.act(v) == r1.act(v)
+    if g1.is_plain():
+        assert QuasiDiffOp.coerce(g1.plain()) == g1
+
+
+def test_non_laurent_diffop_has_no_graded_form():
+    bad = DiffOp.mult(RatFunc((1,), (1, 1)))  # 1/(x+1)
+    with pytest.raises(NonLaurentCoefficient):
+        QuasiDiffOp.coerce(bad)
+    with pytest.raises(NonLaurentCoefficient):
+        act(bad, mono(0))
+    assert QuasiDiffOp.coerce(D) != bad and bad != QuasiDiffOp.coerce(D)
