@@ -45,8 +45,8 @@ from .quadext import (
     closure_check,
     lame_module_basis,
     lame_pullback,
+    matrix_spectrum,
     module_invariance,
-    module_spectrum,
     s_generators,
     spectrum_all_real_distinct,
 )
@@ -241,7 +241,9 @@ def _cmd_lame(args, rep) -> int:
     rep["witnesses"] = [w.to_json() for w in literal.witnesses[:3]]
     status = matrix is not None
     if args.spectrum:
-        cp = module_spectrum(H, module)
+        if matrix is None:
+            raise ValueError("operator does not preserve the module")
+        cp = matrix_spectrum(matrix)
         rep["data"]["spectrum"] = {
             "char_poly_low_first": [c.str(name) for c in cp],
             "degree": len(cp) - 1,

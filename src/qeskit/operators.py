@@ -3,9 +3,10 @@
 A DiffOp is a finite sum sum_j c_j(x) d^j with RatFunc coefficients, kept
 in normal order: coefficient functions on the left, derivative powers on
 the right.  Composition uses the rewrite d∘c(x) = c(x)d + c'(x) (Leibniz).
-This is the calculus of the quadratic-extension and Lamé paths, whose
+This is the calculus of the quadratic-extension paths, whose
 coefficients are general rational functions of x; act_poly and act_rat
-apply it to polynomials and rational functions.
+apply it to polynomials and rational functions.  (The Lamé pullback is
+Laurent, so its entries are graded; act_rat accepts those too.)
 
 A QuasiDiffOp is a ladder operator in graded Euler form
 
@@ -51,6 +52,7 @@ from .scalars import (
     poly_mul,
     poly_trim,
     pow_by_squaring,
+    qexp,
     rat,
 )
 
@@ -152,10 +154,11 @@ class DiffOp:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
-
-    def is_laurent(self) -> bool:
-        return all(c.is_laurent() for _, c in self.terms)
+        # a Laurent DiffOp equals its graded form, so it hashes as that form
+        try:
+            return hash(QuasiDiffOp.coerce(self))
+        except NonLaurentCoefficient:
+            return hash(self.terms)
 
     # -- linear structure ----------------------------------------------------
 
@@ -290,9 +293,19 @@ def act_poly(A: DiffOp, p) -> RatFunc:
     return out
 
 
-def act_rat(A: DiffOp, v: RatFunc) -> RatFunc:
-    """Apply to an arbitrary rational function (exact quotient-rule chain)."""
+def act_rat(A, v: RatFunc) -> RatFunc:
+    """Apply to an arbitrary rational function (exact quotient-rule chain).
+
+    A QuasiDiffOp with integer grades acts on a Laurent v by evaluation,
+    x^g p(D) x^e = p(e) x^(e+g), one Laurent monomial of v at a time.
+    """
     v = RatFunc.coerce(v)
+    if isinstance(A, QuasiDiffOp):
+        if not (A.is_plain() and v.is_laurent()):
+            return act_rat(A.plain(), v)
+        t, num = v.laurent_parts()
+        w = A.act(QuasiPoly((qexp(i - t), c) for i, c in enumerate(num)))
+        return _laurent({e.offset.numerator: c for e, c in w.terms})
     out = RF_ZERO
     der = v
     prev = 0
@@ -303,6 +316,17 @@ def act_rat(A: DiffOp, v: RatFunc) -> RatFunc:
         if der:
             out = out + c * der
     return out
+
+
+def _laurent(cs: Mapping[int, ParamScalar]) -> RatFunc:
+    """sum c_k x^k over a finite map k -> c_k, k any integer."""
+    if not cs:
+        return RF_ZERO
+    lo = min(min(cs), 0)
+    num = [PS_ZERO] * (max(cs) - lo + 1)
+    for k, c in cs.items():
+        num[k - lo] = c
+    return RatFunc(num, (PS_ZERO,) * -lo + (PS_ONE,))
 
 
 class QuasiPoly:
@@ -661,17 +685,8 @@ class QuasiDiffOp:
         slots: dict = {}
         for E, j, k, c in self._normal_terms():
             slots.setdefault(E, {}).setdefault(j, {})[k] = c
-        out = []
-        for E in sorted(slots):
-            terms = {}
-            for j, cs in slots[E].items():
-                lo = min(min(cs), 0)
-                num = [PS_ZERO] * (max(cs) - lo + 1)
-                for k, c in cs.items():
-                    num[k - lo] = c
-                terms[j] = RatFunc(num, (PS_ZERO,) * -lo + (PS_ONE,))
-            out.append((E, DiffOp(terms)))
-        return out
+        return [(E, DiffOp({j: _laurent(cs) for j, cs in slots[E].items()}))
+                for E in sorted(slots)]
 
     def size(self) -> tuple[int, int]:
         """Order and x-degree of the normal form: the largest j of a term

@@ -25,7 +25,7 @@ from math import isqrt
 from typing import Optional, Sequence, Union
 
 from . import linalg, sturm
-from .operators import DiffOp, act_rat, compose
+from .operators import DiffOp, QuasiDiffOp, act_rat, compose
 from .scalars import (
     ExactError,
     PS_ONE,
@@ -243,6 +243,11 @@ class MatOp:
 
     def rows(self):
         return ((self.a11, self.a12), (self.a21, self.a22))
+
+    def graded(self) -> "MatOp":
+        """The same operator with every entry in graded Euler form; raises
+        NonLaurentCoefficient unless every entry is Laurent."""
+        return MatOp(*map(QuasiDiffOp.coerce, (self.a11, self.a12, self.a21, self.a22)))
 
     def __eq__(self, other):
         if not isinstance(other, MatOp):
@@ -753,6 +758,11 @@ def lame_pullback(n: int, k2: ParamValue = None) -> tuple[MatOp, QuadSpace]:
     gives d/dz = F d/dx and the gauge derivative is -(1 - F)/(2x) in the
     z-variable, so the whole operator assembles inside the matrix calculus.
 
+    dz = LF*LD = [[0, r d + r'/2], [d, 0]] and the gauge adds only -1/(2x)
+    and r/(2x), so A = dz + gauge has Laurent entries for every n and k2
+    (r is a polynomial).  A is put in graded form once and squared by the
+    graded product; H then acts on the module by evaluation.
+
     The plain truncated space P_n + F P_(n-1) is NOT preserved: acting on
     F x^j produces a polynomial part of degree j + 2, so the second ladder
     always overshoots the first (see lame_module_basis for the module that
@@ -764,7 +774,7 @@ def lame_pullback(n: int, k2: ParamValue = None) -> tuple[MatOp, QuadSpace]:
     dz = LF * LD
     half_inv_x = RatFunc.const(Fraction(1, 2)) / RatFunc.x()
     gauge = MatOp.scalar(-half_inv_x) + LF * MatOp.scalar(half_inv_x)
-    A = dz + gauge
+    A = (dz + gauge).graded()
     N = Fraction(2 * n + 1, 2)
     potential = MatOp.scalar(RatFunc.x_power(2) * (k2_s * N * (N + 1)))
     H = -(A * A) + potential
@@ -785,18 +795,22 @@ class PairModule(FiniteSpace):
 
     def matrix(self, M: MatOp) -> Optional[list[list[ParamScalar]]]:
         """Coordinates come from solving each image, written over common
-        denominators componentwise, in the span of the basis."""
+        denominators componentwise, in the span of the basis; over Fraction
+        when every coefficient is a constant."""
         pairs = list(self.basis) + [act(M, v) for v in self.basis]
         vecs: list[list[ParamScalar]] = [[] for _ in pairs]
         for comp in (0, 1):
             _, nums = common_denominator([pr[comp] for pr in pairs])
             for vec, p in zip(vecs, nums):
                 vec.extend(p)
-        basis, images = vecs[:self.dim()], vecs[self.dim():]
-        cols = linalg.in_span_many(basis, images, PS_ZERO, PS_ONE)
+        K, d = _constant_matrix(vecs), self.dim()
+        if K is None:
+            cols = linalg.in_span_many(vecs[:d], vecs[d:], PS_ZERO, PS_ONE)
+        else:
+            cols = linalg.in_span_many(K[:d], K[d:], Fraction(0), Fraction(1))
         if any(col is None for col in cols):
             return None
-        return [list(row) for row in zip(*cols)]
+        return [[ParamScalar.coerce(c) for c in row] for row in zip(*cols)]
 
 
 def lame_module_basis(n: int) -> PairModule:
@@ -839,6 +853,12 @@ def module_spectrum(M: MatOp, module: FiniteSpace) -> tuple[ParamScalar, ...]:
     A = module_invariance(M, module)
     if A is None:
         raise ValueError("operator does not preserve the module")
+    return matrix_spectrum(A)
+
+
+def matrix_spectrum(A) -> tuple[ParamScalar, ...]:
+    """Monic characteristic polynomial of an exact matrix, low degree first;
+    over Fraction when every entry is a constant."""
     K = _constant_matrix(A)
     if K is None:
         return linalg.char_poly(A, PS_ZERO, PS_ONE)

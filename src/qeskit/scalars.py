@@ -564,11 +564,19 @@ RF_X = RatFunc.x()
 def common_denominator(vals: Sequence[RatFunc]):
     """(lcd, numerators): each value of vals written as numerator / lcd,
     the numerators padded with zeros to one length, so linear relations
-    among the values are linear relations among the padded coefficients."""
-    lcd = (PS_ONE,)
-    for v in vals:
-        lcd = poly_mul(poly_divmod(lcd, poly_gcd(lcd, v.den))[0], v.den)
-    nums = [poly_mul(v.num, poly_divmod(lcd, v.den)[0]) for v in vals]
+    among the values are linear relations among the padded coefficients.
+
+    When every denominator is a power x^t (as in `_reduce`, the gcd is then
+    known), the lcd is x^max(t) and each numerator is shifted up."""
+    if all(v.is_laurent() for v in vals):
+        top = max((len(v.den) for v in vals), default=1)
+        lcd = (PS_ZERO,) * (top - 1) + (PS_ONE,)
+        nums = [(PS_ZERO,) * (top - len(v.den)) + v.num if v else () for v in vals]
+    else:
+        lcd = (PS_ONE,)
+        for v in vals:
+            lcd = poly_mul(poly_divmod(lcd, poly_gcd(lcd, v.den))[0], v.den)
+        nums = [poly_mul(v.num, poly_divmod(lcd, v.den)[0]) for v in vals]
     width = max((len(p) for p in nums), default=0)
     return lcd, [p + (PS_ZERO,) * (width - len(p)) for p in nums]
 

@@ -340,3 +340,24 @@ def test_slowest_accepted_generator_calls(capsys, op):
     _validate(rep)
     digest = hashlib.sha256(rep["normal_forms"]["op"].encode()).hexdigest()
     assert digest == Q32_NORMAL_FORM_SHA256
+
+
+# sha256 of each `qes lame` JSON report without timing_ms (keys sorted),
+# recorded before the pullback's entries moved to graded Euler form
+LAME_REPORT_SHA256 = {
+    ("--n", "12", "--k2", "2/11", "--spectrum"):
+        "d54595980f30bb677b5e75fd950ad1a6bc1df022f2e05bf866f271a4f8ab1fd9",
+    ("--n", "4", "--spectrum"):
+        "7cf8274bf9c69146854f5a70f0360368ecbd496eba61bc8798fe8c2fe77ff265",
+    ("--n", "1", "--k2", "1/2"):
+        "2a472f5b821c4c0d93f28de6c0e8698310a037a53f891a04e78e6e1349f8973e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAME_REPORT_SHA256))
+def test_lame_report_pinned(capsys, argv):
+    code, rep = run_json(capsys, "lame", *argv)
+    assert code == 0
+    rep.pop("timing_ms")
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == LAME_REPORT_SHA256[argv]

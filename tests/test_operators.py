@@ -300,6 +300,45 @@ def test_graded_form_matches_leibniz_reference(case):
         assert QuasiDiffOp.coerce(g1.plain()) == g1
 
 
+@st.composite
+def graded_actions(draw):
+    """(op, v): a graded product of two random Laurent operators and a
+    Laurent rational function num / x^t (zero allowed)."""
+    symbolic = draw(st.booleans())
+    op = (QuasiDiffOp.coerce(draw(laurent_diffops(symbolic)))
+          * QuasiDiffOp.coerce(draw(laurent_diffops(symbolic))))
+    num = []
+    for _ in range(draw(st.integers(0, 4))):
+        c = F(draw(st.integers(-2, 2)))
+        if symbolic and draw(st.booleans()):
+            c = c + A * draw(st.integers(-1, 1))
+        num.append(c)
+    return op, RatFunc(num, (0,) * draw(st.integers(0, 3)) + (1,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_actions())
+def test_graded_act_rat_matches_quotient_rule(case):
+    op, v = case
+    assert act_rat(op, v) == act_rat(op.plain(), v)
+    assert op.plain() == op and hash(op.plain()) == hash(op)
+
+
+def test_equal_operators_hash_equal_across_forms():
+    from qeskit.quadext import MatOp
+
+    for L in (EULER, D, X, DiffOp.identity(), DiffOp.zero(),
+              DiffOp({2: RatFunc((1, A), (0, 1))})):
+        G = QuasiDiffOp.coerce(L)
+        assert L == G and hash(L) == hash(G)
+        assert len({L, G}) == 1 and {L: 1}[G] == 1
+    bad = DiffOp.mult(RatFunc((1,), (1, 1)))  # 1/(x+1): no graded form
+    assert len({bad, QuasiDiffOp.coerce(D), D}) == 2
+    M = MatOp(EULER, D, X, DiffOp.zero())
+    G = M.graded()
+    assert M == G and hash(M) == hash(G) and len({M, G}) == 1
+
+
 def test_non_laurent_diffop_has_no_graded_form():
     bad = DiffOp.mult(RatFunc((1,), (1, 1)))  # 1/(x+1)
     with pytest.raises(NonLaurentCoefficient):

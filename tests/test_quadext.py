@@ -11,6 +11,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from lame_reference import char_poly as reference_char_poly
+from lame_reference import lame_pullback as leibniz_lame_pullback
+from lame_reference import module_matrix as reference_module_matrix
+from qeskit.operators import QuasiDiffOp
 from qeskit.quadext import (
     ClosureError,
     FamilyNotFound,
@@ -280,3 +284,19 @@ def test_quad_space_matrix_equals_pair_module_matrix():
         assert A == module.matrix(M)
     assert s.matrix(lift_d(s)) is None
     assert module.matrix(lift_d(s)) is None
+
+
+@pytest.mark.parametrize("n, k2", [(n, F(n, 13)) for n in range(1, 13)]
+                         + [(n, None) for n in range(1, 5)])
+def test_lame_path_matches_leibniz_reference(n, k2):
+    """Graded pullback, evaluation action, Laurent denominators and the
+    Fraction solve against Leibniz, quotient rule, Euclid and ParamScalar."""
+    H, _ = lame_pullback(n, k2)
+    ref = leibniz_lame_pullback(n, k2)
+    assert all(isinstance(e, QuasiDiffOp) for row in H.rows() for e in row)
+    assert H == ref and hash(H) == hash(ref)
+    assert H.str("k2") == ref.str("k2")
+    module = lame_module_basis(n)
+    A = module.matrix(H)
+    assert A is not None and A == reference_module_matrix(ref, module)
+    assert module_spectrum(H, module) == tuple(reference_char_poly(A))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lame_reference import common_denominator as euclid_common_denominator
 from qeskit.scalars import (
     NEG_INF,
     PARAM,
@@ -17,6 +18,7 @@ from qeskit.scalars import (
     RatFunc,
     SingularSpecialization,
     arith,
+    common_denominator,
     normalize,
     poly_deg,
     poly_gcd,
@@ -137,6 +139,29 @@ def ratfuncs(draw):
     if not any(den):
         den = (PS_ONE,)
     return RatFunc(num, den)
+
+
+@st.composite
+def laurent_values(draw):
+    """num / x^t with t in 0..3 and a zero numerator allowed."""
+    num = tuple(draw(param_scalars()) for _ in range(draw(st.integers(0, 3))))
+    return RatFunc(num, (PS_ZERO,) * draw(st.integers(0, 3)) + (PS_ONE,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(laurent_values(), max_size=5))
+def test_laurent_common_denominator_matches_euclid(vals):
+    assert common_denominator(vals) == euclid_common_denominator(vals)
+
+
+def test_laurent_common_denominator_edges():
+    x3 = RatFunc.x_power(-3)
+    for vals in ([], [RatFunc()], [RatFunc(), x3], [RF_ONE, x3, RF_X],
+                 [RatFunc((1, 2), (0, 0, 1)), RatFunc()]):
+        assert common_denominator(vals) == euclid_common_denominator(vals)
+    # a zero value contributes a zero numerator, not a shifted one
+    assert common_denominator([RatFunc(), x3]) == (
+        (PS_ZERO,) * 3 + (PS_ONE,), [(PS_ZERO,), (PS_ONE,)])
 
 
 @settings(max_examples=60, deadline=None)
