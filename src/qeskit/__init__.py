@@ -10,9 +10,9 @@ The package is layered:
     quadext    spaces P_n + f P_m with f^2 rational, matrix calculus
     dsl / cli  expression language and the qes command-line tool
 
-Every finite space (V1Space, QuadSpace, PairModule) gives matrix(op), the
-exact action matrix on its basis or None when an image leaves the space;
-span coordinates, commutator tables and spectra are built on it once.
+Every finite space (V1Space, QuadSpace, PairModule) gives basis and images
+as term maps; FiniteSpace.matrix reads the action matrix off them once, by
+back-substitution, and span coordinates, commutator tables and spectra use it.
 """
 
 from .scalars import (

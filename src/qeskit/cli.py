@@ -121,17 +121,13 @@ def _cmd_check(args, rep) -> int:
     space = parse_space_or_quad(args.space)
     if isinstance(space, QuadSpace):
         op = eval_quad(args.op, space)
-        if not isinstance(op, MatOp):
-            op = MatOp.scalar(op)
-        result = check_invariance_quad(op, space)
-        rep["normal_forms"]["op"] = op.str(space.param_name)
-        rep["witnesses"] = [w.to_json() for w in result.witnesses]
+        op = op if isinstance(op, MatOp) else MatOp.scalar(op)
+        result, name = check_invariance_quad(op, space), space.param_name
     else:
-        op = eval_ladder(args.op)
-        op = QuasiDiffOp.coerce(op)
-        result = check_invariance(op, space)
-        rep["normal_forms"]["op"] = op.str()
-        rep["witnesses"] = [w.to_json() for w in result.witnesses]
+        op = QuasiDiffOp.coerce(eval_ladder(args.op))
+        result, name = check_invariance(op, space), "a"
+    rep["normal_forms"]["op"] = op.str(name)
+    rep["witnesses"] = [w.to_json() for w in result.witnesses]
     rep["verdicts"]["invariant"] = result.verdict
     rep["status"] = result.verdict
     return 0 if result.verdict else 1
@@ -141,29 +137,22 @@ def _cmd_comm(args, rep) -> int:
     space = parse_space_or_quad(args.space) if args.space else None
     if isinstance(space, QuadSpace):
         op1, op2 = eval_quad(args.op1, space), eval_quad(args.op2, space)
-        C = commutator(op1, op2)
-        name = space.param_name
-        rep["normal_forms"] = {
-            "op1": op1.str(name), "op2": op2.str(name), "commutator": C.str(name)
-        }
-        result = check_invariance_quad(C, space)
-        rep["verdicts"]["commutator_invariant"] = result.verdict
-        rep["witnesses"] = [w.to_json() for w in result.witnesses]
-        rep["status"] = result.verdict
-        return 0 if result.verdict else 1
-    op1 = QuasiDiffOp.coerce(eval_ladder(args.op1))
-    op2 = QuasiDiffOp.coerce(eval_ladder(args.op2))
+        name, check = space.param_name, check_invariance_quad
+    else:
+        op1 = QuasiDiffOp.coerce(eval_ladder(args.op1))
+        op2 = QuasiDiffOp.coerce(eval_ladder(args.op2))
+        name, check = "a", check_invariance
     C = commutator(op1, op2)
     rep["normal_forms"] = {
-        "op1": op1.str(), "op2": op2.str(), "commutator": C.str()
+        "op1": op1.str(name), "op2": op2.str(name), "commutator": C.str(name)
     }
-    if space is not None:
-        result = check_invariance(C, space)
-        rep["verdicts"]["commutator_invariant"] = result.verdict
-        rep["witnesses"] = [w.to_json() for w in result.witnesses]
-        rep["status"] = result.verdict
-        return 0 if result.verdict else 1
-    return 0
+    if space is None:
+        return 0
+    result = check(C, space)
+    rep["verdicts"]["commutator_invariant"] = result.verdict
+    rep["witnesses"] = [w.to_json() for w in result.witnesses]
+    rep["status"] = result.verdict
+    return 0 if result.verdict else 1
 
 
 def _cmd_closure(args, rep) -> int:
@@ -408,22 +397,14 @@ def main(argv=None) -> int:
     start = time.monotonic_ns()
     try:
         code = args.func(args, rep)
-    except (DslSyntaxError, DslEvalError) as exc:
-        rep["status"] = False
-        rep["error"] = str(exc)
-        code = 2
-    except ExactError as exc:
-        rep["status"] = False
-        rep["error"] = str(exc)
-        code = 1
-    except ValueError as exc:
-        rep["status"] = False
-        rep["error"] = str(exc)
-        code = 2
     except Exception as exc:
+        # an exact-arithmetic failure is a false verdict (1); expression
+        # errors, other bad values and anything unexpected are usage (2)
         rep["status"] = False
-        rep["error"] = f"unexpected {type(exc).__name__}: {exc}"
-        code = 2
+        rep["error"] = (str(exc) if isinstance(exc, ValueError)
+                        else f"unexpected {type(exc).__name__}: {exc}")
+        code = 1 if isinstance(exc, ExactError) and not isinstance(
+            exc, (DslSyntaxError, DslEvalError)) else 2
     rep["timing_ms"] = (time.monotonic_ns() - start) // 1_000_000
     rep["exit_code"] = code
     _emit(rep, args.format or os.environ.get("QES_FORMAT", "text"), args.out)

@@ -32,7 +32,7 @@ from typing import Optional, Union
 from .operators import QuasiDiffOp, commutator
 from .quadext import MatOp, QuadSpace, lame_preset, lift_d, lift_f, lift_x, \
     ratio_sqrt_preset, sqrt_quadratic_preset
-from .scalars import ExactError, PARAM, ParamScalar, QuasiExponent, RatFunc, rat
+from .scalars import ExactError, PARAM, ParamScalar, QuasiExponent, RatFunc
 from .spaces import (
     V1Space,
     make_bosonic,
@@ -57,6 +57,10 @@ MAX_EXPONENT = 32
 # each integer argument of a named generator (K(n) composes n + 1 factors).
 MAX_ORDER = 32
 MAX_DEGREE = 32
+
+# Deepest nesting of parentheses, arguments and comm() the parser accepts:
+# deeper input is refused before the recursive descent can exhaust the stack.
+MAX_NESTING = 64
 
 
 class DslSyntaxError(ExactError):
@@ -149,6 +153,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -167,6 +172,10 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self) -> Node:
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(
+                f"nesting exceeds the cap of {MAX_NESTING}", self.peek()[2])
+        self.depth += 1
         terms = []
         sign = 1
         if self.peek()[1] == "-":
@@ -176,6 +185,7 @@ class _Parser:
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             terms.append((1 if op == "+" else -1, self.parse_term()))
+        self.depth -= 1
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return Sum(tuple(terms))

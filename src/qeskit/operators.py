@@ -137,9 +137,6 @@ class DiffOp:
 
     # -- structure -----------------------------------------------------------
 
-    def as_dict(self) -> dict[int, RatFunc]:
-        return dict(self.terms)
-
     def order(self):
         return self.terms[-1][0] if self.terms else None
 
@@ -538,7 +535,11 @@ class QuasiDiffOp:
         return self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        # a constant or zero operator equals its scalar, so it hashes as that
+        m = self.as_monomial_mult()
+        if m is not None and m[0] == QE_ZERO:
+            return hash(m[1])
+        return hash(self.parts) if self.parts else 0
 
     def is_plain(self) -> bool:
         """True iff every grade is an integer: no quasi-power remains."""

@@ -139,9 +139,6 @@ class QuadSpace(FiniteSpace):
     def __setattr__(self, *_):
         raise AttributeError("QuadSpace is immutable")
 
-    def dim(self) -> int:
-        return self.n + self.m + 2
-
     def basis_pairs(self) -> list[tuple[RatFunc, RatFunc]]:
         out = [(RatFunc.x_power(i), RatFunc()) for i in range(self.n + 1)]
         out += [(RatFunc(), RatFunc.x_power(j)) for j in range(self.m + 1)]
@@ -153,18 +150,12 @@ class QuadSpace(FiniteSpace):
         out += [f"f*{xs(j)}" if j else "f" for j in range(self.m + 1)]
         return out
 
-    def matrix(self, M: MatOp) -> Optional[list[list[ParamScalar]]]:
-        """The coordinates of an image are the coefficients of its two
-        components, padded to degrees n and m."""
-        cols = []
-        for v in self.basis_pairs():
-            col = []
-            for val, bound in zip(act(M, v), (self.n, self.m)):
-                if not val.is_polynomial() or len(val.num) > bound + 1:
-                    return None
-                col.extend(val.num + (PS_ZERO,) * (bound + 1 - len(val.num)))
-            cols.append(col)
-        return [list(row) for row in zip(*cols)]
+    def _terms(self) -> list[dict]:
+        return ([{(0, i): PS_ONE} for i in range(self.n + 1)]
+                + [{(1, j): PS_ONE} for j in range(self.m + 1)])
+
+    def _images(self, M: MatOp):
+        return (_pair_terms(act(M, v)) for v in self.basis_pairs())
 
     def __str__(self):
         return (f"Quad(r = {self.r.str(self.param_name)}, n = {self.n}, "
@@ -665,8 +656,6 @@ def closure_check(gens: Sequence[MatOp], s: QuadSpace,
     structure: dict = {}
     for (i, j), coords in table.items():
         structure[(i, j)] = tuple(coords[:k])
-    if not recentered:
-        shifts = None
 
     # Jacobi on the recentered constants
     def c(i, j, t):
@@ -781,36 +770,42 @@ def lame_pullback(n: int, k2: ParamValue = None) -> tuple[MatOp, QuadSpace]:
     return H, s
 
 
+def _pair_terms(pair) -> Optional[dict]:
+    """{(component, power of x): coefficient} of a pair (p, q), zero
+    coefficients left out, or None when a component is not Laurent."""
+    out = {}
+    for comp, val in enumerate(pair):
+        if not val.is_laurent():
+            return None
+        t, num = val.laurent_parts()
+        out.update(((comp, k - t), c) for k, c in enumerate(num) if c)
+    return out
+
+
 @dataclass(frozen=True)
 class PairModule(FiniteSpace):
     """A finite space of pairs (p, q), meaning p + f q, with p and q
     allowed negative powers of x; the carrier of exact matrix/spectrum
-    computations for operators that preserve it."""
+    computations for operators that preserve it.  The basis must be in
+    echelon form in the keys (component, power of x): the largest key of
+    each pair occurs in no earlier pair."""
 
     basis: tuple[tuple[RatFunc, RatFunc], ...]
     labels: tuple[str, ...]
 
-    def dim(self) -> int:
-        return len(self.basis)
+    def __post_init__(self):
+        seen: set = set()
+        for v in self._terms():
+            if not v or max(v) in seen:
+                raise ValueError("PairModule basis must be nonzero Laurent "
+                                 "pairs in echelon form")
+            seen.update(v)
 
-    def matrix(self, M: MatOp) -> Optional[list[list[ParamScalar]]]:
-        """Coordinates come from solving each image, written over common
-        denominators componentwise, in the span of the basis; over Fraction
-        when every coefficient is a constant."""
-        pairs = list(self.basis) + [act(M, v) for v in self.basis]
-        vecs: list[list[ParamScalar]] = [[] for _ in pairs]
-        for comp in (0, 1):
-            _, nums = common_denominator([pr[comp] for pr in pairs])
-            for vec, p in zip(vecs, nums):
-                vec.extend(p)
-        K, d = _constant_matrix(vecs), self.dim()
-        if K is None:
-            cols = linalg.in_span_many(vecs[:d], vecs[d:], PS_ZERO, PS_ONE)
-        else:
-            cols = linalg.in_span_many(K[:d], K[d:], Fraction(0), Fraction(1))
-        if any(col is None for col in cols):
-            return None
-        return [[ParamScalar.coerce(c) for c in row] for row in zip(*cols)]
+    def _terms(self) -> list[Optional[dict]]:
+        return [_pair_terms(v) for v in self.basis]
+
+    def _images(self, M: MatOp):
+        return (_pair_terms(act(M, v)) for v in self.basis)
 
 
 def lame_module_basis(n: int) -> PairModule:

@@ -413,6 +413,9 @@ class _Fraction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction (or int), so it hashes as that
+        if len(self.num) <= 1 and len(self.den) == 1:
+            return hash(self.num[0]) if self.num else 0
         return hash((self.num, self.den))
 
     # -- printing ------------------------------------------------------------

@@ -15,7 +15,7 @@ operator -k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -36,13 +36,43 @@ AValue = Union[None, int, Fraction]  # None means the generic symbol
 
 
 class FiniteSpace:
-    """A finite space with a fixed basis.  Each kind of space gives dim()
-    and matrix(op): the exact matrix of op on the basis (rows indexed by
-    output coordinate, columns by basis vector), or None when an image
-    leaves the space.  Span questions about operators are answered here,
-    once, by comparing those matrices as maps on the space."""
+    """A finite space with a fixed basis.  Each kind of space gives
+    _terms(), its basis as term maps {key: coefficient} in echelon order
+    (the largest key of each vector, its pivot, occurs in no earlier
+    vector), and _images(op), the image of each basis vector as a term map
+    or None.  matrix(op) is read off from them once for every kind, and
+    span questions about operators are answered from those matrices."""
 
     __slots__ = ()
+
+    def dim(self) -> int:
+        return len(self._terms())
+
+    def matrix(self, op) -> Optional[list[list[ParamScalar]]]:
+        """The exact matrix of op on the basis (rows indexed by output
+        coordinate, columns by basis vector), or None when an image leaves
+        the space.  Back-substitution from the last basis vector pops the
+        image's coefficient at the pivot; only a vector other than one term
+        with coefficient 1 costs a division and a subtraction.  A nonzero
+        remainder is a term outside the space."""
+        basis = self._terms()
+        steps = [(k, max(v), v) for k, v in reversed(list(enumerate(basis)))]
+        steps = [(k, p, v if len(v) > 1 or v[p] != PS_ONE else None)
+                 for k, p, v in steps]
+        A = [[PS_ZERO] * len(basis) for _ in basis]
+        for col, img in enumerate(self._images(op)):
+            if img is None:
+                return None
+            for k, p, v in steps:
+                c = img.pop(p, PS_ZERO)
+                if v is not None and c:
+                    c = c / v[p]
+                    for key in v.keys() - {p}:
+                        img[key] = img.get(key, PS_ZERO) - c * v[key]
+                A[k][col] = c
+            if any(img.values()):
+                return None
+        return A
 
     def _span(self, ops):
         """Flattened matrices of ops and of the identity, or None."""
@@ -83,6 +113,7 @@ def _in_range(q: Fraction, top: int) -> bool:
     return q.denominator == 1 and 0 <= q <= top
 
 
+@dataclass(frozen=True, slots=True)
 class V1Space(FiniteSpace):
     """The direct-sum space P_n + x^a P_m (P_m part absent when m is None).
 
@@ -90,27 +121,16 @@ class V1Space(FiniteSpace):
     drops duplicates and the collision flag records whether that happened.
     """
 
-    __slots__ = ("n", "m", "a")
+    n: int
+    m: Optional[int] = None
+    a: AValue = None
+    _basis: Optional[tuple] = field(default=None, init=False, compare=False)
 
-    def __init__(self, n: int, m: Optional[int] = None, a: AValue = None):
-        if n < 0 or (m is not None and m < 0):
+    def __post_init__(self):
+        if self.n < 0 or (self.m is not None and self.m < 0):
             raise ValueError("degrees must be nonnegative")
-        if a is not None:
-            a = rat(a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *_):
-        raise AttributeError("V1Space is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, V1Space):
-            return NotImplemented
-        return (self.n, self.m, self.a) == (other.n, other.m, other.a)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.a))
+        if self.a is not None:
+            object.__setattr__(self, "a", rat(self.a))
 
     # -- derived quantities ---------------------------------------------------
 
@@ -141,23 +161,23 @@ class V1Space(FiniteSpace):
     # -- basis and membership ---------------------------------------------------
 
     def basis(self) -> list[QuasiExponent]:
-        """Exponents 0..n then a..a+m; merged regime drops duplicates."""
-        poly = [qexp(i) for i in range(self.n + 1)]
-        if self.m is None:
-            return poly
-        if self.a is None:
-            return poly + [qexp(j, 1) for j in range(self.m + 1)]
-        seen = set(e.offset for e in poly)
-        out = list(poly)
-        for j in range(self.m + 1):
-            off = self.a + j
-            if off not in seen:
-                seen.add(off)
-                out.append(qexp(off))
-        return out
+        """Exponents 0..n then a..a+m; merged regime drops duplicates.
+        Built on the first call and kept, as the space is immutable."""
+        if self._basis is None:
+            out = [qexp(i) for i in range(self.n + 1)]
+            if self.m is not None and self.a is None:
+                out += [qexp(j, 1) for j in range(self.m + 1)]
+            elif self.m is not None:
+                out += [qexp(self.a + j) for j in range(self.m + 1)
+                        if not _in_range(self.a + j, self.n)]
+            object.__setattr__(self, "_basis", tuple(out))
+        return list(self._basis)
 
-    def dim(self) -> int:
-        return len(self.basis())
+    def _terms(self) -> list[dict]:
+        return [{e: PS_ONE} for e in self.basis()]
+
+    def _images(self, op) -> list[dict]:
+        return QuasiDiffOp.coerce(op).images(self.basis())
 
     def in_ladder(self, e: QuasiExponent, part: str) -> bool:
         """e lies on the "poly" ladder 0..n or the "quasi" ladder a..a+m."""
@@ -171,17 +191,6 @@ class V1Space(FiniteSpace):
 
     def contains_exponent(self, e: QuasiExponent) -> bool:
         return self.in_ladder(e, "poly") or self.in_ladder(e, "quasi")
-
-    def matrix(self, op) -> Optional[list[list[ParamScalar]]]:
-        basis = self.basis()
-        index = {e: i for i, e in enumerate(basis)}
-        A = [[PS_ZERO] * len(basis) for _ in basis]
-        for col, img in enumerate(QuasiDiffOp.coerce(op).images(basis)):
-            for f, c in img.items():
-                if f not in index:
-                    return None
-                A[index[f]][col] = c
-        return A
 
     def __str__(self):
         a = "a" if self.a is None else str(self.a)

@@ -8,8 +8,9 @@ from importlib import resources
 
 import pytest
 
+from qeskit import cli
 from qeskit.cli import main
-from qeskit.dsl import MAX_DEGREE, MAX_EXPONENT, MAX_ORDER
+from qeskit.dsl import MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -238,17 +239,34 @@ def test_closure_error_strings_for_non_preserving_generator(capsys):
     _validate(rep)
 
 
-def test_unexpected_failure_is_a_usage_error(capsys):
-    # deep nesting exhausts the recursive parser: still exit 2, a valid
-    # report with the error set, and no traceback
-    deep = "(" * 3000 + "x" + ")" * 3000
-    code = main(["--format", "json", "check", "--space", "V1(2)", "--op", deep])
+def test_unexpected_failure_is_a_usage_error(capsys, monkeypatch):
+    # an exception no handler expects: still exit 2, a valid report with
+    # the error set, and no traceback
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_invariance", boom)
+    code = main(["--format", "json", "check", "--space", "V1(2)", "--op", "x"])
     captured = capsys.readouterr()
     rep = json.loads(captured.out)
     assert code == 2 and rep["exit_code"] == 2
-    assert rep["status"] is False and rep["error"]
+    assert rep["status"] is False and rep["error"] == "unexpected RuntimeError: boom"
     assert "Traceback" not in captured.err
     _validate(rep)
+
+
+def test_nesting_cap_is_a_usage_error(capsys):
+    nest = lambda k: "(" * k + "x" + ")" * k
+    code, _ = run_json(capsys, "check", "--space", "V1(2)", "--op", nest(MAX_NESTING))
+    assert code == 1
+    for k in (MAX_NESTING + 1, 3000):
+        code, rep = run_json(capsys, "check", "--space", "V1(2)", "--op", nest(k))
+        assert code == 2 and rep["exit_code"] == 2
+        assert f"nesting exceeds the cap of {MAX_NESTING}" in rep["error"]
+        _validate(rep)
+    code, rep = run_json(capsys, "check", "--space", "V1(2)",
+                         "--op", "comm(" * 70 + "x" + ",d)" * 70)
+    assert code == 2 and f"cap of {MAX_NESTING}" in rep["error"]
 
 
 def test_exponent_cap_is_a_usage_error(capsys):

@@ -149,7 +149,7 @@ def test_action_homomorphism():
 
 def test_normal_form_idempotent():
     op = compose(EULER, compose(D, X))
-    assert DiffOp(op.as_dict()) == op
+    assert DiffOp(dict(op.terms)) == op
 
 
 def test_quasi_diffop_shift_algebra():
@@ -337,6 +337,9 @@ def test_equal_operators_hash_equal_across_forms():
     M = MatOp(EULER, D, X, DiffOp.zero())
     G = M.graded()
     assert M == G and hash(M) == hash(G) and len({M, G}) == 1
+    for c in (3, 0, F(1, 2)):
+        G = QuasiDiffOp.coerce(c)
+        assert G == c and hash(G) == hash(c) and len({G, c}) == 1
 
 
 def test_non_laurent_diffop_has_no_graded_form():

@@ -276,14 +276,30 @@ def test_module_spectrum_on_preset_space():
 
 
 def test_quad_space_matrix_equals_pair_module_matrix():
+    # the read-off against the common-denominator solve it replaced
     s = sqrt_quadratic_preset(2, F(1, 2))
     module = PairModule(tuple(s.basis_pairs()), tuple(s.basis_labels()))
     for M in s_generators(s).family:
         A = s.matrix(M)
         assert A is not None
-        assert A == module.matrix(M)
+        assert A == reference_module_matrix(M, module) == module.matrix(M)
     assert s.matrix(lift_d(s)) is None
-    assert module.matrix(lift_d(s)) is None
+    assert reference_module_matrix(lift_d(s), module) is None
+
+
+def test_pair_module_rejects_a_basis_not_in_echelon_form():
+    x, one, zero = RatFunc.x(), RatFunc.const(1), RatFunc()
+    plain, twisted = (x, zero), (x, -x)
+    PairModule((plain, twisted), ("x", "(1-f)*x"))
+    bad = [
+        (twisted, plain),               # plain's pivot (0, 1) is in twisted
+        (plain, plain),
+        (plain, (zero, zero)),          # a zero pair has no pivot
+        (plain, (one / (x + 1), zero)),  # not Laurent
+    ]
+    for basis in bad:
+        with pytest.raises(ValueError, match="echelon"):
+            PairModule(basis, ("u", "v"))
 
 
 @pytest.mark.parametrize("n, k2", [(n, F(n, 13)) for n in range(1, 13)]

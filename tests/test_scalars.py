@@ -444,6 +444,9 @@ def test_mixed_operand_equality_and_rejections():
     assert PS_ONE == RF_ONE and RF_ONE == PS_ONE and RF_ONE == 1 and 1 == PS_ONE
     assert A != RF_X and RF_X != A and A != 1 and F(1, 2) == PS_ONE / 2
     assert hash(A + 1) == hash(1 + A) and hash(RF_X + 1) == hash(1 + RF_X)
+    for c in (3, 0, F(1, 2), F(-7, 3)):
+        for v in (ParamScalar.const(c), RatFunc.const(c)):
+            assert v == c and hash(v) == hash(c) and len({v, c}) == 1
     assert (A == 1.5) is False and (RF_X == "x") is False
     for v in (A, RF_X):
         for bad in (1.5, "x"):

@@ -2,11 +2,14 @@
 
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from qeskit import linalg
 from qeskit.operators import DiffOp, QuasiDiffOp, QuasiPoly, act, commutator, compose
 from qeskit.quadext import s_generators, sqrt_quadratic_preset
 from qeskit.scalars import PARAM, PS_ONE, PS_ZERO, ParamScalar, RatFunc, qexp
 from qeskit.spaces import (
+    FiniteSpace,
     V1Space,
     check_invariance,
     exponent_set_equiv,
@@ -335,3 +338,70 @@ def test_commutator_coords_equals_per_pair_in_span():
         assert table == _per_pair_table(s, ops), s
         saw_none |= any(coords is None for _, coords in table.values())
     assert saw_none
+
+
+# ---------------------------------------------------------------------------
+# The matrix read-off of FiniteSpace against a dense elimination
+# ---------------------------------------------------------------------------
+
+
+class _TermSpace(FiniteSpace):
+    """A space given directly by its basis and images as term maps."""
+
+    def __init__(self, basis, images):
+        self.basis, self.images = basis, images
+
+    def _terms(self):
+        return [dict(v) for v in self.basis]
+
+    def _images(self, op):
+        return [dict(w) for w in self.images]
+
+
+_KEYS = 6
+_POOLS = {
+    "Q": (F(0), F(1), [F(-2), F(-1), F(1, 2), F(1), F(3)]),
+    "Q(a)": (PS_ZERO, PS_ONE, [A, A + 1, 1 / A, A * A - 2, PS_ONE * 2, -A / 3]),
+}
+
+
+@st.composite
+def echelon_cases(draw):
+    """A basis in echelon order (each pivot, the largest key of its vector,
+    occurs in no earlier vector), and images that are combinations of it,
+    one of them pushed off by an extra term half of the time."""
+    zero, one, pool = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+    nonzero = st.sampled_from(pool)
+    d = draw(st.integers(1, 4))
+    pivots = draw(st.permutations(range(_KEYS)))[:d]
+    basis = []
+    for k, p in enumerate(pivots):
+        v = {p: draw(nonzero)}
+        for key in set(range(p)) - set(pivots[k + 1:]):
+            if draw(st.booleans()):
+                v[key] = draw(nonzero)
+        basis.append(v)
+    images = []
+    for _ in range(d):
+        w = {}
+        for v in basis:
+            c = draw(st.sampled_from([zero] + pool))
+            for key, t in v.items():
+                w[key] = w.get(key, zero) + c * t
+        images.append(w)
+    if draw(st.booleans()):
+        w = images[draw(st.integers(0, d - 1))]
+        key = draw(st.integers(0, _KEYS - 1))
+        w[key] = w.get(key, zero) + draw(nonzero)
+    return zero, one, basis, [{k: c for k, c in w.items() if c} for w in images]
+
+
+@settings(max_examples=60, deadline=None)
+@given(echelon_cases())
+def test_matrix_read_off_matches_elimination(case):
+    zero, one, basis, images = case
+    dense = lambda v: [v.get(key, zero) for key in range(_KEYS)]
+    cols = linalg.in_span_many([dense(v) for v in basis],
+                               [dense(w) for w in images], zero, one)
+    expected = None if None in cols else [list(r) for r in zip(*cols)]
+    assert _TermSpace(basis, images).matrix(None) == expected
